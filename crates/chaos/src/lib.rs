@@ -364,6 +364,9 @@ mod tests {
 
     #[test]
     fn disabled_hits_are_noops() {
+        // Hold the arming gate: a plan armed by a test running alongside
+        // would otherwise see these hits and count them against its own.
+        let _gate = lock_unpoisoned(&GATE);
         assert_eq!(hit("kernel.barrier"), None);
         assert_eq!(hit("kernel.barrier"), None);
     }

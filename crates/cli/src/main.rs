@@ -544,7 +544,7 @@ const USAGE: &str =
        mdfuse client <endpoint> submit <file> [n] [m] [--engine E]
                     [--deadline-ms MS]
        mdfuse loadgen [--socket ENDPOINT] [--shards N] [--batch]
-                    [--requests N] [--concurrency C]
+                    [--requests N] [--concurrency C] [--cache-cap N]
                     [--mode closed|open] [--rps R] [--seed S] [--json]
                     [--out PATH] [--check PATH] [--examples DIR]
                     [--chaos] [--cache-dir DIR] [--cache-sync M]
@@ -570,7 +570,7 @@ options:
   --workers N        serve, route: concurrent submissions per daemon
                      (default 4)
   --queue N          serve, route: admission queue depth (default 8)
-  --cache-cap N      serve, route: plan cache capacity (default 64)
+  --cache-cap N      serve, route, loadgen: plan cache capacity (default 64)
   --cache-dir DIR    serve, route, loadgen: crash-safe persistent plan-cache
                      store; warm-loads on boot, persists on insert/drain
                      (route/loadgen shards use DIR/shard-<N>)

@@ -47,7 +47,7 @@ pub(crate) struct ServiceOpts {
     pub workers: usize,
     /// `serve`: admission queue depth.
     pub queue_depth: usize,
-    /// `serve`: plan-cache capacity.
+    /// `serve`/`route`/`loadgen`: plan-cache capacity.
     pub cache_capacity: usize,
     /// `serve`: arm the `service.*` chaos sites (testing only).
     pub inject_chaos: bool,
@@ -471,6 +471,41 @@ fn sum_fleet_stats(f: &FleetStats) -> ServiceStats {
     sum
 }
 
+/// The daemon an unsharded in-process loadgen run boots: one worker per
+/// client, and every service flag loadgen takes.
+fn loadgen_daemon_config(opts: &ServiceOpts, cache_sync: CacheSync) -> ServiceConfig {
+    let path = std::env::temp_dir().join(format!("mdfused-loadgen-{}.sock", std::process::id()));
+    let mut config = ServiceConfig::new(&path);
+    config.workers = opts.concurrency.max(2);
+    config.queue_depth = opts.concurrency * 2;
+    config.cache_capacity = opts.cache_capacity.max(1);
+    config.chaos = opts.chaos;
+    config.cache_dir = opts.cache_dir.as_ref().map(std::path::PathBuf::from);
+    config.cache_sync = cache_sync;
+    config
+}
+
+/// The shard template and router config a sharded in-process loadgen
+/// run boots, carrying the same service flags as
+/// [`loadgen_daemon_config`] plus the fleet's own.
+fn loadgen_fleet_config(
+    opts: &ServiceOpts,
+    cache_sync: CacheSync,
+) -> (ServiceConfig, RouterConfig) {
+    let mut template = ServiceConfig::new("unused.sock");
+    template.workers = 2;
+    template.queue_depth = opts.concurrency.max(4) * 2;
+    template.cache_capacity = opts.cache_capacity.max(1);
+    template.chaos = opts.chaos;
+    template.cache_dir = opts.cache_dir.as_ref().map(std::path::PathBuf::from);
+    template.cache_sync = cache_sync;
+    let mut config = RouterConfig::new(Endpoint::parse("tcp:127.0.0.1:0"), opts.shards);
+    config.batch_window = opts.batch.then_some(BATCH_WINDOW);
+    config.fair_slots = (opts.concurrency as u64).max(8 * opts.shards as u64);
+    config.chaos = opts.chaos;
+    (template, config)
+}
+
 /// Entry point for `mdfuse loadgen`.
 pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError> {
     if let Some(path) = &opts.check {
@@ -488,31 +523,14 @@ pub(crate) fn loadgen(opts: &ServiceOpts, json: bool) -> Result<String, CliError
     let target = match &opts.socket {
         Some(s) => Target::External(Endpoint::parse(s)),
         None if opts.shards > 0 => {
-            let mut template = ServiceConfig::new("unused.sock");
-            template.workers = 2;
-            template.queue_depth = opts.concurrency.max(4) * 2;
-            template.chaos = opts.chaos;
-            template.cache_dir = opts.cache_dir.as_ref().map(std::path::PathBuf::from);
-            template.cache_sync = cache_sync;
+            let (template, config) = loadgen_fleet_config(opts, cache_sync);
             let backend = InProcessBackend::new(opts.shards, template);
-            let mut config = RouterConfig::new(Endpoint::parse("tcp:127.0.0.1:0"), opts.shards);
-            config.batch_window = opts.batch.then_some(BATCH_WINDOW);
-            config.fair_slots = (opts.concurrency as u64).max(8 * opts.shards as u64);
-            config.chaos = opts.chaos;
             let router = Router::start(config, Box::new(backend))
                 .map_err(|e| CliError::Internal(format!("cannot boot fleet: {e}")))?;
             Target::OwnFleet(router)
         }
         None => {
-            let path =
-                std::env::temp_dir().join(format!("mdfused-loadgen-{}.sock", std::process::id()));
-            let mut config = ServiceConfig::new(&path);
-            config.workers = opts.concurrency.max(2);
-            config.queue_depth = opts.concurrency * 2;
-            config.chaos = opts.chaos;
-            config.cache_dir = opts.cache_dir.as_ref().map(std::path::PathBuf::from);
-            config.cache_sync = cache_sync;
-            let server = Server::start(config)
+            let server = Server::start(loadgen_daemon_config(opts, cache_sync))
                 .map_err(|e| CliError::Internal(format!("cannot boot daemon: {e}")))?;
             Target::OwnServer(server)
         }
@@ -1159,6 +1177,53 @@ fn validate(text: &str) -> Result<u64, String> {
 mod tests {
     use super::*;
     use mdf_service::proto::ShardRow;
+
+    #[test]
+    fn every_loadgen_flag_reaches_the_config_it_names() {
+        // Every flag set away from its default, parsed as the CLI parses
+        // it, then read back from the configs the in-process targets boot.
+        let args: Vec<String> = [
+            "loadgen",
+            "--cache-cap",
+            "7",
+            "--concurrency",
+            "5",
+            "--chaos",
+            "--cache-dir",
+            "store-root",
+            "--cache-sync",
+            "always",
+            "--shards",
+            "3",
+            "--batch",
+        ]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+        let opts = crate::parse_opts(&args).unwrap().service;
+        let sync = parse_cache_sync(&opts.cache_sync).unwrap();
+        let daemon = loadgen_daemon_config(&opts, sync);
+        let (template, router) = loadgen_fleet_config(&opts, sync);
+        for (target, c) in [("daemon", &daemon), ("shard template", &template)] {
+            assert_eq!(c.cache_capacity, 7, "{target}: --cache-cap");
+            assert!(c.chaos, "{target}: --chaos");
+            assert_eq!(
+                c.cache_dir.as_deref(),
+                Some(std::path::Path::new("store-root")),
+                "{target}: --cache-dir"
+            );
+            assert_eq!(c.cache_sync, CacheSync::Always, "{target}: --cache-sync");
+            assert_eq!(c.queue_depth, 10, "{target}: --concurrency sizes the queue");
+        }
+        assert_eq!(daemon.workers, 5, "--concurrency sizes the daemon");
+        assert_eq!(router.shards, 3, "--shards");
+        assert_eq!(router.batch_window, Some(BATCH_WINDOW), "--batch");
+        assert!(router.chaos, "--chaos");
+        assert_eq!(
+            router.fair_slots, 24,
+            "--shards and --concurrency size fair share"
+        );
+    }
 
     fn report() -> LoadReport {
         LoadReport {

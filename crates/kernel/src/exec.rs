@@ -23,15 +23,40 @@
 //!   anti-diagonal tile *waves* ([`TilePlan`]): barriers survive only
 //!   between waves, every in-wave front barrier is elided, and each tile
 //!   sweeps its cells row-major — the order the certificate proves
-//!   equivalent. Waves too small to amortize a dispatch run serially by
-//!   a deterministic cost model ([`SERIAL_WAVE_CELLS`]).
+//!   equivalent. Waves too small to amortize a barrier run serially by a
+//!   deterministic cost model ([`SERIAL_WAVE_CELLS`]).
+//!
+//! ## One parallel region per run
+//!
+//! A drive is a sequence of barrier steps — fused rows, tile waves or
+//! hyperplane groups — run SPMD ([`Spmd`]). The caller is worker 0 and
+//! `threads - 1` workers are spawned once, in one `std::thread::scope`;
+//! every worker walks the same steps. A *shared* step is dealt to the
+//! workers round-robin by index (column tiles, tiles, cells) and ends at
+//! one `std::sync::Barrier`. A serial step (a `wave_serial` wave, an
+//! uncertified row or group) runs on worker 0 alone; two serial steps in
+//! a row need no barrier, and a run with no shared step spawns nothing.
+//! Worker 0 runs step `k + 1`'s barrier-top gate (deadline, the
+//! `kernel.barrier` site) before it arrives at step `k`'s barrier, and
+//! every worker reads the stop decision after it: a deadline stops the
+//! drive at a clean barrier top with the completed work intact, handed
+//! back as a resumable partial result. A panic in any worker is caught;
+//! the worker keeps arriving at barriers without working until every
+//! worker stops at the next one, and the first panic resumes in the
+//! caller once the scope has joined.
 //!
 //! Counters ([`ExecStats`]) match the interpreter's accounting exactly:
 //! one barrier per fused row / non-empty wavefront group, one statement
 //! instance per executed assignment — so BENCH reports are directly
 //! comparable across engines.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Barrier, Mutex, PoisonError};
+use std::thread;
 
 use mdf_analyze::bytecode::{
     self, BytecodeCert, VmImage, VmInstr, VmLoop, VmMode, VmRange, VmStmt,
@@ -44,7 +69,6 @@ use mdf_sim::{
     Snapshot, SupervisedOutcome,
 };
 use mdf_trace::Span;
-use rayon::prelude::*;
 
 use crate::lower::{eval_compiled, lower_loop, CompiledLoop, Instr, MAX_REGS};
 use crate::memory::{KernelMemory, Layout};
@@ -55,13 +79,13 @@ impl Snapshot for KernelMemory {
     }
 }
 
-/// Minimum row length before a certified row is split into column tiles
-/// for threading; below this the barrier and spawn overhead dominates.
+/// Width of the column tiles a shared certified row is dealt in; a row
+/// under two tiles runs on worker 0 alone (EXPERIMENTS.md, "SPMD").
 const TILE_COLS: i64 = 256;
 
-/// Minimum estimated cell count in a tile wave before its tiles are
-/// dispatched to worker threads; below this the spawn overhead dominates
-/// and the wave runs serially (`wavefront.serial_fronts`). Part of the
+/// Minimum estimated cell count in a tile wave before its tiles are shared
+/// by the workers; below this the wave runs on worker 0 alone
+/// (`wavefront.serial_fronts`; EXPERIMENTS.md, "SPMD"). Part of the
 /// deterministic cost model: the decision depends only on the tile plan,
 /// the wave index, and the thread count — never on timing.
 const SERIAL_WAVE_CELLS: i64 = 2048;
@@ -142,7 +166,7 @@ impl TilePlan {
 
     /// Whether wave `w` runs serially under `threads` workers: single
     /// worker, a single tile, or too few estimated cells
-    /// ([`SERIAL_WAVE_CELLS`]) to amortize the dispatch.
+    /// ([`SERIAL_WAVE_CELLS`]) to amortize the barrier.
     pub fn wave_serial(&self, w: i64, threads: usize) -> bool {
         let (lo, hi) = self.wave_bands(w);
         let tiles = hi - lo + 1;
@@ -429,7 +453,7 @@ impl CompiledKernel {
         let t1 = *corners.iter().max().expect("four corners");
         let fronts = t1 - t0 + 1;
         let rows = self.outer.len();
-        // Coarse bands: wide enough to amortize per-wave dispatch, fine
+        // Coarse bands: wide enough to amortize the per-wave barrier, fine
         // enough to expose cross-tile parallelism on big spaces.
         let bi = (rows / 16).clamp(4, 64);
         let bt = (fronts / 8).clamp(16, 256);
@@ -503,18 +527,16 @@ impl CompiledKernel {
         self.run_with_threads(mode, rayon::current_num_threads())
     }
 
-    /// [`CompiledKernel::run`] with an explicit worker count driving the
-    /// step policy (whether certified steps take the tiled [`SharedCells`]
-    /// path); actual parallelism is still the runtime's to grant. Exposed
-    /// so tests and benches can force either path deterministically.
+    /// [`CompiledKernel::run`] with an explicit worker count: it sets the
+    /// step policy (which steps are shared) and the workers that share
+    /// them (the caller plus `threads - 1` spawned). Exposed so tests and
+    /// benches can force either path deterministically.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
         let mut mem = KernelMemory::new(self.layout);
-        // An unlimited meter cannot trip, so the budgeted driver is total.
-        #[allow(clippy::expect_used)]
-        let stats = self
-            .drive(mode, &mut mem, threads, None)
-            .expect("unbudgeted kernel run cannot trip a budget");
-        (mem, stats)
+        match self.drive_from(mode, &mut mem, threads, None, 0, ExecStats::default()) {
+            Ok(DriveEnd::Complete(stats)) => (mem, stats),
+            _ => unreachable!("an unmetered drive has no gate to stop or fail it"),
+        }
     }
 
     /// Runs under a resource budget: cells charged before allocation, the
@@ -581,13 +603,7 @@ impl CompiledKernel {
     /// of checkpointing and resumption, and the count [`ExecStats`]
     /// reports — post-elision syncs, never the pre-elision front count.
     pub fn barrier_count(&self, mode: ExecMode) -> u64 {
-        match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => self.outer.len().max(0) as u64,
-            ExecMode::Wavefront { schedule, .. } => match self.tile_plan(mode) {
-                Some(tp) => tp.waves(),
-                None => self.wavefront_groups(schedule).len() as u64,
-            },
-        }
+        self.step_total(&self.steps(mode))
     }
 
     /// Runs the kernel under the supervising executor: one chunk per
@@ -627,17 +643,10 @@ impl CompiledKernel {
         meter: &mut BudgetMeter,
         resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        let tp = self.tile_plan(mode);
-        let groups = match mode {
-            ExecMode::Wavefront { schedule, .. } if tp.is_none() => self.wavefront_groups(schedule),
-            _ => Vec::new(),
-        };
-        let total = match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => self.outer.len().max(0) as u64,
-            ExecMode::Wavefront { .. } => tp.map_or(groups.len() as u64, |tp| tp.waves()),
-        };
+        let steps = self.steps(mode);
+        let unchecked = self.is_armed(mode);
         supervise_run(
-            total,
+            self.step_total(&steps),
             threads,
             policy,
             meter,
@@ -647,44 +656,19 @@ impl CompiledKernel {
                 meter.charge_cells(self.layout.cells() as u64)?;
                 Ok(KernelMemory::new(self.layout))
             },
+            // Each chunk is a one-step drive: the same gate, step and
+            // accounting as an uninterrupted run, with a deadline stop
+            // handed to the supervisor as the recoverable error it is.
             |mem, barrier, threads_now, meter| {
-                meter.check_deadline()?;
-                meter.chaos_site("kernel.barrier")?;
-                let unchecked = self.is_armed(mode);
-                let instances = match mode {
-                    ExecMode::RowsCertified => self.row_loop_major(
-                        mem.data_mut(),
-                        self.outer.lo + barrier as i64,
-                        threads_now,
-                        unchecked,
-                    ),
-                    ExecMode::RowsSerial => self.row_cell_major(
-                        mem.data_mut(),
-                        self.outer.lo + barrier as i64,
-                        unchecked,
-                    ),
-                    ExecMode::Wavefront { certified, .. } => match &tp {
-                        Some(tp) => self.tile_wave(
-                            mem.data_mut(),
-                            tp,
-                            barrier as i64,
-                            threads_now,
-                            unchecked,
-                        ),
-                        None => self.wavefront_group(
-                            mem.data_mut(),
-                            &groups[barrier as usize],
-                            certified,
-                            threads_now,
-                            unchecked,
-                        ),
-                    },
+                let range = barrier..barrier + 1;
+                let lead = Lead {
+                    meter: Some(meter),
+                    ..Lead::default()
                 };
-                // Fires *after* the chunk's writes — only a panic is sound
-                // here (the supervisor restores the snapshot wholesale).
-                meter.chaos_site("kernel.chunk.mid")?;
-                meter.charge_iterations(instances)?;
-                Ok(instances)
+                match self.drive_steps(&steps, unchecked, mem, range, threads_now, lead)? {
+                    DriveEnd::Complete(stats) => Ok(stats.stmt_instances),
+                    DriveEnd::Stopped { cause, .. } => Err(cause),
+                }
             },
         )
     }
@@ -743,7 +727,7 @@ impl CompiledKernel {
                 if self.rows_tiled(threads) {
                     span.add(
                         "kernel.tiles",
-                        stats.barriers * self.column_tiles().len() as u64,
+                        stats.barriers * self.column_tile_count() as u64,
                     );
                 }
             }
@@ -761,144 +745,134 @@ impl CompiledKernel {
         }
     }
 
-    fn drive(
-        &self,
-        mode: ExecMode,
-        mem: &mut KernelMemory,
-        threads: usize,
-        meter: Option<&mut BudgetMeter>,
-    ) -> Result<ExecStats, MdfError> {
-        match self.drive_from(mode, mem, threads, meter, 0, ExecStats::default())? {
-            DriveEnd::Complete(stats) => Ok(stats),
-            // Unreachable without a meter; with one, `run_budgeted` calls
-            // `drive_from` directly and keeps the partial work instead.
-            DriveEnd::Stopped { cause, .. } => Err(cause),
-        }
-    }
-
-    /// The barrier-granular driver: executes barriers `start..` of `mode`,
-    /// accumulating onto `stats0`. A deadline report (real or injected) at
-    /// a barrier *top* — where memory is clean — stops the drive with the
-    /// completed count instead of erroring, so callers can hand back a
-    /// resumable partial result. Any other budget trip propagates.
+    /// Executes barriers `start..` of `mode`, accumulating onto `stats0`
+    /// (see [`Self::drive_steps`]).
     fn drive_from(
         &self,
         mode: ExecMode,
         mem: &mut KernelMemory,
         threads: usize,
-        mut meter: Option<&mut BudgetMeter>,
+        meter: Option<&mut BudgetMeter>,
         start: u64,
         stats0: ExecStats,
     ) -> Result<DriveEnd, MdfError> {
-        fn gate(meter: &mut BudgetMeter) -> Result<(), MdfError> {
-            meter.check_deadline()?;
-            meter.chaos_site("kernel.barrier")
+        let steps = self.steps(mode);
+        let range = start..self.step_total(&steps);
+        let lead = Lead {
+            meter,
+            stats: stats0,
+            ..Lead::default()
+        };
+        self.drive_steps(&steps, self.is_armed(mode), mem, range, threads, lead)
+    }
+
+    /// The barrier-granular driver: executes `range` of `steps` in one
+    /// SPMD region (see the module docs), booking onto `lead`.
+    fn drive_steps(
+        &self,
+        steps: &Steps,
+        unchecked: bool,
+        mem: &mut KernelMemory,
+        range: Range<u64>,
+        threads: usize,
+        lead: Lead<'_>,
+    ) -> Result<DriveEnd, MdfError> {
+        let data = mem.data_mut();
+        if unchecked {
+            Spmd::<false>::new(self, steps, data, range, threads).run(lead)
+        } else {
+            Spmd::<true>::new(self, steps, data, range, threads).run(lead)
         }
-        let mut stats = stats0;
-        let mut completed = start;
-        let unchecked = self.is_armed(mode);
+    }
+
+    /// The barrier steps `mode` walks over this kernel.
+    fn steps(&self, mode: ExecMode) -> Steps {
         match mode {
-            ExecMode::RowsCertified | ExecMode::RowsSerial => {
-                for (idx, fi) in (self.outer.lo..=self.outer.hi).enumerate() {
-                    let idx = idx as u64;
-                    if idx < start {
-                        continue;
-                    }
-                    if let Some(meter) = meter.as_deref_mut() {
-                        if let Err(e) = gate(meter) {
-                            if deadline_expired(&e) {
-                                return Ok(DriveEnd::Stopped {
-                                    completed,
-                                    stats,
-                                    cause: e,
-                                });
-                            }
-                            return Err(e);
-                        }
-                    }
-                    let instances = if mode == ExecMode::RowsCertified {
-                        self.row_loop_major(mem.data_mut(), fi, threads, unchecked)
-                    } else {
-                        self.row_cell_major(mem.data_mut(), fi, unchecked)
-                    };
-                    stats.stmt_instances += instances;
-                    stats.barriers += 1;
-                    completed = idx + 1;
-                    if let Some(meter) = meter.as_deref_mut() {
-                        meter.chaos_site("kernel.chunk.mid")?;
-                        meter.charge_iterations(instances)?;
-                    }
-                }
-            }
+            ExecMode::RowsCertified => Steps::Rows { certified: true },
+            ExecMode::RowsSerial => Steps::Rows { certified: false },
             ExecMode::Wavefront {
                 schedule,
                 certified,
                 ..
-            } => {
-                if let Some(tp) = self.tile_plan(mode) {
-                    // Tiled drive: one barrier per anti-diagonal tile
-                    // wave; the per-front barriers inside a wave are
-                    // elided (licensed by the elision certificate). No
-                    // group materialization — tiles sweep their cells
-                    // directly from the plan's interval arithmetic.
-                    for w in 0..tp.waves() as i64 {
-                        let idx = w as u64;
-                        if idx < start {
-                            continue;
-                        }
-                        if let Some(meter) = meter.as_deref_mut() {
-                            if let Err(e) = gate(meter) {
-                                if deadline_expired(&e) {
-                                    return Ok(DriveEnd::Stopped {
-                                        completed,
-                                        stats,
-                                        cause: e,
-                                    });
-                                }
-                                return Err(e);
-                            }
-                        }
-                        let instances = self.tile_wave(mem.data_mut(), &tp, w, threads, unchecked);
-                        stats.stmt_instances += instances;
-                        stats.barriers += 1;
-                        completed = idx + 1;
-                        if let Some(meter) = meter.as_deref_mut() {
-                            meter.chaos_site("kernel.chunk.mid")?;
-                            meter.charge_iterations(instances)?;
-                        }
-                    }
-                    return Ok(DriveEnd::Complete(stats));
+            } => match self.tile_plan(mode) {
+                Some(tp) => Steps::Waves(tp),
+                None => Steps::Groups {
+                    groups: self.wavefront_groups(schedule),
+                    certified,
+                },
+            },
+        }
+    }
+
+    /// The number of steps in `steps`.
+    fn step_total(&self, steps: &Steps) -> u64 {
+        match steps {
+            Steps::Rows { .. } => self.outer.len().max(0) as u64,
+            Steps::Waves(tp) => tp.waves(),
+            Steps::Groups { groups, .. } => groups.len() as u64,
+        }
+    }
+
+    /// Whether step `k` is split across `threads` workers; every other
+    /// step runs on worker 0 alone. A pure function of the plan, the step
+    /// and the thread count, so every worker reaches the same answer.
+    fn step_shared(&self, steps: &Steps, k: u64, threads: usize) -> bool {
+        match steps {
+            Steps::Rows { certified } => *certified && self.rows_tiled(threads),
+            Steps::Waves(tp) => !tp.wave_serial(k as i64, threads),
+            Steps::Groups { groups, certified } => {
+                *certified && threads > 1 && groups[k as usize].len() >= 2
+            }
+        }
+    }
+
+    /// Worker `me`'s share of step `k` among `workers`, dealt round-robin
+    /// so every worker is within one unit of every other: column tiles of
+    /// a row, tiles of a wave, cells of a group. One worker runs the whole
+    /// step, a certified row then sweeping loop-major in one piece.
+    /// Returns the statement instances executed.
+    fn exec_share<const CHECKED: bool>(
+        &self,
+        steps: &Steps,
+        cells: &SharedCells<CHECKED>,
+        k: u64,
+        me: usize,
+        workers: usize,
+    ) -> u64 {
+        let mut regs = [0i64; MAX_REGS];
+        let mut instances = 0;
+        match steps {
+            Steps::Rows { certified: true } => {
+                let fi = self.outer.lo + k as i64;
+                if workers == 1 {
+                    return self.exec_row_tile(cells, &mut regs, fi, i64::MIN, i64::MAX);
                 }
-                for (idx, group) in self.wavefront_groups(schedule).into_iter().enumerate() {
-                    let idx = idx as u64;
-                    if idx < start {
-                        continue;
-                    }
-                    if let Some(meter) = meter.as_deref_mut() {
-                        if let Err(e) = gate(meter) {
-                            if deadline_expired(&e) {
-                                return Ok(DriveEnd::Stopped {
-                                    completed,
-                                    stats,
-                                    cause: e,
-                                });
-                            }
-                            return Err(e);
-                        }
-                    }
-                    let instances =
-                        self.wavefront_group(mem.data_mut(), &group, certified, threads, unchecked);
-                    stats.stmt_instances += instances;
-                    stats.barriers += 1;
-                    completed = idx + 1;
-                    if let Some(meter) = meter.as_deref_mut() {
-                        meter.chaos_site("kernel.chunk.mid")?;
-                        meter.charge_iterations(instances)?;
-                    }
+                for t in (me..self.column_tile_count()).step_by(workers) {
+                    let lo = self.inner.lo + t as i64 * TILE_COLS;
+                    let hi = (lo + TILE_COLS - 1).min(self.inner.hi);
+                    instances += self.exec_row_tile(cells, &mut regs, fi, lo, hi);
+                }
+            }
+            Steps::Rows { certified: false } => {
+                let fi = self.outer.lo + k as i64;
+                for fj in self.inner.lo..=self.inner.hi {
+                    instances += self.exec_cell(cells, &mut regs, fi, fj);
+                }
+            }
+            Steps::Waves(tp) => {
+                let w = k as i64;
+                let (lo, hi) = tp.wave_bands(w);
+                for tb in (lo + me as i64..=hi).step_by(workers) {
+                    instances += self.exec_tile(cells, &mut regs, tp, tb, w - tb);
+                }
+            }
+            Steps::Groups { groups, .. } => {
+                for &(fi, fj) in groups[k as usize].iter().skip(me).step_by(workers) {
+                    instances += self.exec_cell(cells, &mut regs, fi, fj);
                 }
             }
         }
-        Ok(DriveEnd::Complete(stats))
+        instances
     }
 
     /// Whether certified rows take the tiled threaded path under `threads`
@@ -908,113 +882,48 @@ impl CompiledKernel {
         threads > 1 && self.inner.len() >= 2 * TILE_COLS
     }
 
-    /// The column tiles a certified threaded row splits into:
-    /// [`TILE_COLS`]-wide chunks of the fused inner range, last one
-    /// ragged. Shared between execution and the `kernel.tiles` counter.
-    fn column_tiles(&self) -> Vec<(i64, i64)> {
-        if self.inner.is_empty() {
-            return Vec::new();
-        }
-        (self.inner.lo..=self.inner.hi)
-            .step_by(TILE_COLS as usize)
-            .map(|lo| (lo, (lo + TILE_COLS - 1).min(self.inner.hi)))
-            .collect()
+    /// The number of [`TILE_COLS`]-wide column tiles (last one ragged) a
+    /// shared certified row splits into. Shared between execution and the
+    /// `kernel.tiles` counter.
+    fn column_tile_count(&self) -> usize {
+        (self.inner.len().max(0) as usize).div_ceil(TILE_COLS as usize)
     }
 
-    /// One certified row, loop-major (see [`Self::row_body`]). `unchecked`
-    /// selects the monomorphized body without per-access asserts; callers
-    /// derive it from [`Self::is_armed`], never directly.
-    fn row_loop_major(&self, data: &mut [i64], fi: i64, threads: usize, unchecked: bool) -> u64 {
-        if unchecked {
-            self.row_body::<false>(data, fi, threads)
-        } else {
-            self.row_body::<true>(data, fi, threads)
-        }
-    }
-
-    /// One certified row, loop-major: each active loop's statements sweep
-    /// the loop's column range with a cursor that advances by one cell per
-    /// step. Long rows split into column tiles run through the shared
-    /// in-place view; each tile replays the full loop-major body
-    /// restricted to its columns, which the row certificate makes
-    /// equivalent (no dependence crosses iterations within the row).
-    fn row_body<const CHECKED: bool>(&self, data: &mut [i64], fi: i64, threads: usize) -> u64 {
-        let active = |cl: &CompiledLoop| cl.rows.contains(fi) && !cl.cols.is_empty();
-        let instances: u64 = self
-            .loops
-            .iter()
-            .filter(|cl| active(cl))
-            .map(|cl| cl.stmts.len() as u64 * cl.cols.len() as u64)
-            .sum();
-        let cells = SharedCells::<CHECKED>::new(data);
-        if self.rows_tiled(threads) {
-            self.column_tiles()
-                .into_par_iter()
-                .for_each(|(tile_lo, tile_hi)| {
-                    let mut regs = [0i64; MAX_REGS];
-                    for cl in &self.loops {
-                        if !active(cl) {
-                            continue;
-                        }
-                        let lo = tile_lo.max(cl.cols.lo);
-                        let hi = tile_hi.min(cl.cols.hi);
-                        if lo > hi {
-                            continue;
-                        }
-                        let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
-                        for s in &cl.stmts {
-                            for cur in base..base + (hi - lo + 1) as isize {
-                                let v =
-                                    eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                                cells.write(cur + s.store_delta, v);
-                            }
-                        }
-                    }
-                });
-        } else {
-            let mut regs = [0i64; MAX_REGS];
-            for cl in &self.loops {
-                if !active(cl) {
-                    continue;
-                }
-                let base = self
-                    .layout
-                    .cursor(fi + cl.offset.x, cl.cols.lo + cl.offset.y)
-                    as isize;
-                for s in &cl.stmts {
-                    for cur in base..base + cl.cols.len() as isize {
-                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                        cells.write(cur + s.store_delta, v);
-                    }
+    /// Columns `[tile_lo, tile_hi]` of certified row `fi`, loop-major:
+    /// each active loop's statements sweep the loop's columns inside the
+    /// tile with a cursor that advances by one cell per step. The row
+    /// certificate makes any column split of a row equivalent (no
+    /// dependence crosses iterations within the row).
+    fn exec_row_tile<const CHECKED: bool>(
+        &self,
+        cells: &SharedCells<CHECKED>,
+        regs: &mut [i64; MAX_REGS],
+        fi: i64,
+        tile_lo: i64,
+        tile_hi: i64,
+    ) -> u64 {
+        let mut instances = 0;
+        for cl in &self.loops {
+            let lo = tile_lo.max(cl.cols.lo);
+            let hi = tile_hi.min(cl.cols.hi);
+            if !cl.rows.contains(fi) || lo > hi {
+                continue;
+            }
+            let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
+            let len = hi - lo + 1;
+            for s in &cl.stmts {
+                for cur in base..base + len as isize {
+                    let v = eval_compiled(&s.instrs, regs, |d| cells.read(cur + d));
+                    cells.write(cur + s.store_delta, v);
                 }
             }
+            instances += cl.stmts.len() as u64 * len as u64;
         }
         instances
     }
 
-    /// One uncertified row: the canonical cell-major serialization, cell
-    /// by cell with loops in body order — bit-identical to the
-    /// interpreter's `run_fused` traversal, just through compiled bodies.
-    fn row_cell_major(&self, data: &mut [i64], fi: i64, unchecked: bool) -> u64 {
-        let mut regs = [0i64; MAX_REGS];
-        let mut instances = 0u64;
-        if unchecked {
-            let cells = SharedCells::<false>::new(data);
-            for fj in self.inner.lo..=self.inner.hi {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-        } else {
-            let cells = SharedCells::<true>::new(data);
-            for fj in self.inner.lo..=self.inner.hi {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-        }
-        instances
-    }
-
-    /// Executes every active loop body at one fused cell, in place. The
-    /// caller holds the only live view of the buffer, so the sequential
-    /// use of the shared view is plain single-threaded mutation.
+    /// Executes every active loop body at one fused cell, in place — the
+    /// canonical cell-major order, loops in body order.
     #[inline]
     fn exec_cell<const CHECKED: bool>(
         &self,
@@ -1059,149 +968,12 @@ impl CompiledKernel {
         buckets.into_values().collect()
     }
 
-    /// One wavefront group: all cells of one hyperplane. Threaded in place
-    /// only under the hyperplane certificate; otherwise sequential in
-    /// group order (the interpreter's serialization). `unchecked` selects
-    /// the assert-free body, derived from [`Self::is_armed`].
-    fn wavefront_group(
-        &self,
-        data: &mut [i64],
-        group: &[(i64, i64)],
-        certified: bool,
-        threads: usize,
-        unchecked: bool,
-    ) -> u64 {
-        if unchecked {
-            self.wavefront_body::<false>(data, group, certified, threads)
-        } else {
-            self.wavefront_body::<true>(data, group, certified, threads)
-        }
-    }
-
-    fn wavefront_body<const CHECKED: bool>(
-        &self,
-        data: &mut [i64],
-        group: &[(i64, i64)],
-        certified: bool,
-        threads: usize,
-    ) -> u64 {
-        let cells = SharedCells::<CHECKED>::new(data);
-        if certified && threads > 1 && group.len() >= 2 {
-            let instances: u64 = group
-                .iter()
-                .map(|&(fi, fj)| {
-                    self.loops
-                        .iter()
-                        .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                        .map(|cl| cl.stmts.len() as u64)
-                        .sum::<u64>()
-                })
-                .sum();
-            group.to_vec().into_par_iter().for_each(|(fi, fj)| {
-                let mut regs = [0i64; MAX_REGS];
-                for cl in &self.loops {
-                    if !cl.rows.contains(fi) || !cl.cols.contains(fj) {
-                        continue;
-                    }
-                    let cur = self.layout.cursor(fi + cl.offset.x, fj + cl.offset.y) as isize;
-                    for s in &cl.stmts {
-                        let v = eval_compiled(&s.instrs, &mut regs, |d| cells.read(cur + d));
-                        cells.write(cur + s.store_delta, v);
-                    }
-                }
-            });
-            instances
-        } else {
-            let mut regs = [0i64; MAX_REGS];
-            let mut instances = 0u64;
-            for &(fi, fj) in group {
-                instances += self.exec_cell(&cells, &mut regs, fi, fj);
-            }
-            instances
-        }
-    }
-
-    /// One tile wave: every tile on anti-diagonal `w` of the tile grid.
-    /// `unchecked` selects the assert-free body, derived from
-    /// [`Self::is_armed`] — the armed mode's [`VmMode::WavefrontTiled`]
-    /// image is what the verifier proved, so tiled execution is exactly
-    /// the licensed path.
-    fn tile_wave(
-        &self,
-        data: &mut [i64],
-        tp: &TilePlan,
-        w: i64,
-        threads: usize,
-        unchecked: bool,
-    ) -> u64 {
-        if unchecked {
-            self.tile_wave_body::<false>(data, tp, w, threads)
-        } else {
-            self.tile_wave_body::<true>(data, tp, w, threads)
-        }
-    }
-
-    fn tile_wave_body<const CHECKED: bool>(
-        &self,
-        data: &mut [i64],
-        tp: &TilePlan,
-        w: i64,
-        threads: usize,
-    ) -> u64 {
-        let cells = SharedCells::<CHECKED>::new(data);
-        let (lo, hi) = tp.wave_bands(w);
-        if tp.wave_serial(w, threads) {
-            let mut regs = [0i64; MAX_REGS];
-            let mut instances = 0u64;
-            for tb in lo..=hi {
-                instances += self.exec_tile(&cells, &mut regs, tp, tb, w - tb);
-            }
-            instances
-        } else {
-            // Same-wave tiles touch disjoint conflict-free cell sets (the
-            // elision certificate's monotonicity argument), so they run in
-            // place concurrently. Instances are pre-counted so the hot
-            // loop carries no shared accumulator.
-            let instances: u64 = (lo..=hi)
-                .map(|tb| self.tile_instances(tp, tb, w - tb))
-                .sum();
-            (lo..=hi)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .for_each(|tb| {
-                    let mut regs = [0i64; MAX_REGS];
-                    self.exec_tile(&cells, &mut regs, tp, tb, w - tb);
-                });
-            instances
-        }
-    }
-
-    /// The fused-column window of tile row `fi` within front band
-    /// `[t_lo, t_hi]`: `t = s.x·fi + s.y·fj` solved for `fj`, clamped to
-    /// the fused inner range. Shared by execution and instance counting.
-    #[inline]
-    fn tile_cols(&self, tp: &TilePlan, fi: i64, t_lo: i64, t_hi: i64) -> (i64, i64) {
-        let s = tp.schedule;
-        (
-            div_ceil(t_lo - s.x * fi, s.y).max(self.inner.lo),
-            div_floor(t_hi - s.x * fi, s.y).min(self.inner.hi),
-        )
-    }
-
-    /// The inclusive `(t, fi)` extents of tile `(tb, ib)`.
-    #[inline]
-    fn tile_extents(&self, tp: &TilePlan, tb: i64, ib: i64) -> (i64, i64, i64, i64) {
-        let t_lo = tp.t0 + tb * tp.bt;
-        let t_hi = (t_lo + tp.bt - 1).min(tp.t1);
-        let fi_lo = self.outer.lo + ib * tp.bi;
-        let fi_hi = (fi_lo + tp.bi - 1).min(self.outer.hi);
-        (t_lo, t_hi, fi_lo, fi_hi)
-    }
-
     /// Executes one tile, cell-major: rows ascending, columns ascending
     /// within the row, loops in body order at each cell — the exact
     /// serialization the elision certificate proves equivalent to the
-    /// front-by-front drive for every in-tile dependence.
+    /// front-by-front drive for every in-tile dependence. Same-wave tiles
+    /// touch disjoint conflict-free cell sets (the certificate's
+    /// monotonicity argument), so a wave's tiles run in place concurrently.
     fn exec_tile<const CHECKED: bool>(
         &self,
         cells: &SharedCells<CHECKED>,
@@ -1210,34 +982,270 @@ impl CompiledKernel {
         tb: i64,
         ib: i64,
     ) -> u64 {
-        let (t_lo, t_hi, fi_lo, fi_hi) = self.tile_extents(tp, tb, ib);
+        let s = tp.schedule;
+        let t_lo = tp.t0 + tb * tp.bt;
+        let t_hi = (t_lo + tp.bt - 1).min(tp.t1);
+        let fi_lo = self.outer.lo + ib * tp.bi;
+        let fi_hi = (fi_lo + tp.bi - 1).min(self.outer.hi);
         let mut instances = 0u64;
         for fi in fi_lo..=fi_hi {
-            let (lo, hi) = self.tile_cols(tp, fi, t_lo, t_hi);
+            // The row's columns inside the front band: `t = s.x·fi +
+            // s.y·fj` solved for `fj`, clamped to the fused inner range.
+            let lo = div_ceil(t_lo - s.x * fi, s.y).max(self.inner.lo);
+            let hi = div_floor(t_hi - s.x * fi, s.y).min(self.inner.hi);
             for fj in lo..=hi {
                 instances += self.exec_cell(cells, regs, fi, fj);
             }
         }
         instances
     }
+}
 
-    /// Statement instances tile `(tb, ib)` executes, counted without
-    /// touching memory (for the threaded path's accounting).
-    fn tile_instances(&self, tp: &TilePlan, tb: i64, ib: i64) -> u64 {
-        let (t_lo, t_hi, fi_lo, fi_hi) = self.tile_extents(tp, tb, ib);
-        let mut instances = 0u64;
-        for fi in fi_lo..=fi_hi {
-            let (lo, hi) = self.tile_cols(tp, fi, t_lo, t_hi);
-            for fj in lo..=hi {
-                instances += self
-                    .loops
-                    .iter()
-                    .filter(|cl| cl.rows.contains(fi) && cl.cols.contains(fj))
-                    .map(|cl| cl.stmts.len() as u64)
-                    .sum::<u64>();
+/// The barrier steps of one drive: step `k` is fused row `outer.lo + k`,
+/// tile wave `k`, or hyperplane group `k`.
+enum Steps {
+    /// Fused rows, loop-major under the row certificate, else cell-major
+    /// and never shared.
+    Rows { certified: bool },
+    /// The anti-diagonal tile waves of an elision-certified wavefront.
+    Waves(TilePlan),
+    /// The hyperplane groups of an untiled wavefront, shared only under
+    /// the hyperplane certificate.
+    Groups {
+        groups: Vec<Vec<(i64, i64)>>,
+        certified: bool,
+    },
+}
+
+/// The barrier-top gate: the deadline, then the `kernel.barrier` site.
+fn gate(meter: &mut BudgetMeter) -> Result<(), MdfError> {
+    meter.check_deadline()?;
+    meter.chaos_site("kernel.barrier")
+}
+
+/// How a drive ended early: stopped by a deadline at a barrier top, or
+/// failed by any other meter error.
+enum Halt {
+    Stop(MdfError),
+    Fail(MdfError),
+}
+
+/// Worker 0's books for one drive: the meter, the counters, and how the
+/// drive ended.
+#[derive(Default)]
+struct Lead<'m> {
+    meter: Option<&'m mut BudgetMeter>,
+    stats: ExecStats,
+    completed: u64,
+    halt: Option<Halt>,
+}
+
+impl Lead<'_> {
+    /// Runs `f` on the meter, catching a panic; unmetered drives pass.
+    fn meter_call(
+        &mut self,
+        f: impl FnOnce(&mut BudgetMeter) -> Result<(), MdfError>,
+    ) -> thread::Result<Result<(), MdfError>> {
+        match self.meter.as_deref_mut() {
+            None => Ok(Ok(())),
+            Some(meter) => catch_unwind(AssertUnwindSafe(|| f(meter))),
+        }
+    }
+}
+
+/// One SPMD region (see the module docs). Every field below is ordered
+/// by `barrier`: what a worker stores before it arrives at a barrier,
+/// every worker sees after it.
+struct Spmd<'a, const CHECKED: bool> {
+    kernel: &'a CompiledKernel,
+    steps: &'a Steps,
+    cells: SharedCells<CHECKED>,
+    range: Range<u64>,
+    workers: usize,
+    barrier: Barrier,
+    /// The first step no worker may run; `u64::MAX` while the drive goes
+    /// on. Lowered to `k + 1` before barrier `k` (every worker stops
+    /// after it), or to `k + 2` after it (they stop after barrier `k + 1`).
+    stop_at: AtomicU64,
+    /// Statement instances of shared steps by step parity: step `k`'s
+    /// shares land in slot `k % 2` before barrier `k`, and worker 0
+    /// drains the slot after it.
+    instances: [AtomicU64; 2],
+    /// The first panic caught in any worker, resumed in the caller once
+    /// every worker has left the region.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<'a, const CHECKED: bool> Spmd<'a, CHECKED> {
+    fn new(
+        kernel: &'a CompiledKernel,
+        steps: &'a Steps,
+        data: &mut [i64],
+        range: Range<u64>,
+        threads: usize,
+    ) -> Self {
+        let workers = threads.max(1);
+        Spmd {
+            kernel,
+            steps,
+            cells: SharedCells::new(data),
+            range,
+            workers,
+            barrier: Barrier::new(workers),
+            stop_at: AtomicU64::new(u64::MAX),
+            instances: [AtomicU64::new(0), AtomicU64::new(0)],
+            panic: Mutex::new(None),
+        }
+    }
+
+    fn shared(&self, k: u64) -> bool {
+        self.kernel.step_shared(self.steps, k, self.workers)
+    }
+
+    /// Runs the region to its end and reports how the drive ended. The
+    /// first step's gate runs before any worker is spawned.
+    fn run(self, mut lead: Lead<'_>) -> Result<DriveEnd, MdfError> {
+        lead.completed = self.range.start;
+        let go = self.range.is_empty() || {
+            let verdict = lead.meter_call(gate);
+            self.settle(&mut lead, verdict, self.range.start, true)
+        };
+        if go && self.workers > 1 && self.range.clone().any(|k| self.shared(k)) {
+            thread::scope(|s| {
+                for me in 1..self.workers {
+                    let spmd = &self;
+                    s.spawn(move || spmd.walk(me, None));
+                }
+                self.walk(0, Some(&mut lead));
+            });
+        } else if go {
+            self.walk(0, Some(&mut lead));
+        }
+        let panic = self.panic.into_inner();
+        if let Some(payload) = panic.unwrap_or_else(PoisonError::into_inner) {
+            resume_unwind(payload);
+        }
+        match lead.halt {
+            None => Ok(DriveEnd::Complete(lead.stats)),
+            Some(Halt::Stop(cause)) => Ok(DriveEnd::Stopped {
+                completed: lead.completed,
+                stats: lead.stats,
+                cause,
+            }),
+            Some(Halt::Fail(e)) => Err(e),
+        }
+    }
+
+    /// Worker `me`'s walk over the steps. A panic in a step is caught and
+    /// stops the drive at the next barrier; the worker keeps arriving at
+    /// barriers until then, so no peer is left waiting.
+    fn walk(&self, me: usize, mut lead: Option<&mut Lead<'_>>) {
+        for k in self.range.clone() {
+            let shared = self.shared(k);
+            let next = k + 1 < self.range.end;
+            let sync = shared || (next && self.shared(k + 1));
+            let live = k < self.stop_at.load(Relaxed);
+            let mut own = 0;
+            if live && (shared || me == 0) {
+                let (me, workers) = if shared { (me, self.workers) } else { (0, 1) };
+                let share = || {
+                    self.kernel
+                        .exec_share(self.steps, &self.cells, k, me, workers)
+                };
+                match catch_unwind(AssertUnwindSafe(share)) {
+                    Ok(n) if shared => {
+                        self.instances[(k % 2) as usize].fetch_add(n, Relaxed);
+                    }
+                    Ok(n) => own = n,
+                    Err(payload) => self.fail(payload, k + 1),
+                }
+            }
+            match lead.as_deref_mut() {
+                Some(lead) if live => self.book(lead, k, next, sync, own),
+                _ if sync => {
+                    self.barrier.wait();
+                }
+                _ => {}
+            }
+            if sync && k + 1 >= self.stop_at.load(Relaxed) {
+                break;
             }
         }
-        instances
+    }
+
+    /// Worker 0's side of step `k`. With a barrier after the step, the
+    /// gate of step `k + 1` runs before it, so every worker reads the stop
+    /// decision after it; the step is then booked — counters,
+    /// `kernel.chunk.mid`, the iteration charge — and an error there
+    /// outranks the gate's verdict, as in a sequential drive.
+    fn book(&self, lead: &mut Lead<'_>, k: u64, next: bool, sync: bool, own: u64) {
+        let mut verdict = None;
+        if sync && next && k + 1 < self.stop_at.load(Relaxed) {
+            let early = lead.meter_call(gate);
+            if !matches!(early, Ok(Ok(()))) {
+                self.stop_at.fetch_min(k + 1, Relaxed);
+            }
+            verdict = Some(early);
+        }
+        if sync {
+            self.barrier.wait();
+        }
+        if self.failed() {
+            return;
+        }
+        let n = if self.shared(k) {
+            self.instances[(k % 2) as usize].swap(0, Relaxed)
+        } else {
+            own
+        };
+        lead.stats.stmt_instances += n;
+        lead.stats.barriers += 1;
+        lead.completed = k + 1;
+        let post = lead.meter_call(|meter| {
+            // After the step's writes: only a panic is sound here.
+            meter.chaos_site("kernel.chunk.mid")?;
+            meter.charge_iterations(n)
+        });
+        if !self.settle(lead, post, if sync { k + 2 } else { k + 1 }, false) {
+            return;
+        }
+        let verdict = match verdict {
+            Some(v) => v,
+            None if next => lead.meter_call(gate),
+            None => return,
+        };
+        self.settle(lead, verdict, k + 1, true);
+    }
+
+    /// Applies a meter verdict and returns whether the drive goes on. A
+    /// deadline at a gate stops it cleanly, any other error fails it, a
+    /// panic is kept for the caller; each stops the workers at `stop`.
+    fn settle(
+        &self,
+        lead: &mut Lead<'_>,
+        verdict: thread::Result<Result<(), MdfError>>,
+        stop: u64,
+        at_gate: bool,
+    ) -> bool {
+        match verdict {
+            Ok(Ok(())) => return true,
+            Ok(Err(e)) if at_gate && deadline_expired(&e) => lead.halt = Some(Halt::Stop(e)),
+            Ok(Err(e)) => lead.halt = Some(Halt::Fail(e)),
+            Err(payload) => self.fail(payload, stop),
+        }
+        self.stop_at.fetch_min(stop, Relaxed);
+        false
+    }
+
+    fn fail(&self, payload: Box<dyn Any + Send>, step: u64) {
+        let mut slot = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(payload);
+        self.stop_at.fetch_min(step, Relaxed);
+    }
+
+    fn failed(&self) -> bool {
+        let slot = self.panic.lock();
+        slot.unwrap_or_else(PoisonError::into_inner).is_some()
     }
 }
 
@@ -1298,19 +1306,23 @@ mod tests {
     }
 
     #[test]
-    fn forced_tiled_path_matches_serial_path() {
+    fn forced_tiled_path_matches_serial_and_armed_paths() {
         // Push the row length past the tiling threshold and force a
-        // multi-worker policy: the SharedCells tiled path must produce the
-        // same image as the single-threaded sweep.
+        // multi-worker policy: the SharedCells tiled path, checked and
+        // armed, must produce the same image as the single-threaded sweep.
         let p = figure2_program();
         let (spec, plan) = planned_spec(&p);
         let mode = crate::plan_mode(&spec, &plan);
-        let k = CompiledKernel::compile(&spec, 4, 3 * TILE_COLS).unwrap();
+        let mut k = CompiledKernel::compile(&spec, 4, 3 * TILE_COLS).unwrap();
+        assert!(k.rows_tiled(4), "shape must cross the tiling threshold");
         let (serial, _) = k.run_with_threads(mode, 1);
         let (tiled, _) = k.run_with_threads(mode, 4);
         assert_eq!(serial.fingerprint(), tiled.fingerprint());
         let (imem, _) = run_original(&p, 4, 3 * TILE_COLS);
         assert_eq!(tiled.fingerprint(), imem.fingerprint());
+        k.arm(mode).unwrap();
+        let (armed, _) = k.run_with_threads(mode, 4);
+        assert_eq!(armed.fingerprint(), tiled.fingerprint());
     }
 
     #[test]
@@ -1868,19 +1880,6 @@ mod tests {
                 assert_eq!(mt_stats.barriers, checked_stats.barriers);
             }
         }
-    }
-
-    #[test]
-    fn armed_tiled_path_matches_checked_tiled_path() {
-        let p = figure2_program();
-        let (spec, plan) = planned_spec(&p);
-        let mode = crate::plan_mode(&spec, &plan);
-        let mut k = CompiledKernel::compile(&spec, 4, 3 * TILE_COLS).unwrap();
-        assert!(k.rows_tiled(4), "shape must cross the tiling threshold");
-        let (checked, _) = k.run_with_threads(mode, 4);
-        k.arm(mode).unwrap();
-        let (armed, _) = k.run_with_threads(mode, 4);
-        assert_eq!(armed.fingerprint(), checked.fingerprint());
     }
 
     #[test]

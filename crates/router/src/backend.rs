@@ -5,6 +5,7 @@
 //! sweeps, `loadgen --shards`) and real child processes (`mdfuse route`,
 //! implemented in the CLI where `current_exe` is available).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mdf_service::transport::Endpoint;
@@ -22,12 +23,20 @@ pub trait Backend: Send + Sync + 'static {
     fn stop(&self, shard: u32);
 }
 
+/// In-process backends created so far in this process; each takes the
+/// next number as its socket namespace.
+static BACKENDS: AtomicU64 = AtomicU64::new(0);
+
 /// Shards as in-process [`Server`]s on temp unix sockets. This is the
 /// fleet the tests, the chaos sweep, and `loadgen --shards` use: one
 /// process, N daemons, real sockets between them.
 pub struct InProcessBackend {
     template: ServiceConfig,
     servers: Mutex<Vec<Option<Server>>>,
+    /// `{pid}-{instance}`: every backend names its sockets apart, so
+    /// fleets running side by side in one process (parallel tests) never
+    /// bind the same path.
+    namespace: String,
 }
 
 impl InProcessBackend {
@@ -37,6 +46,11 @@ impl InProcessBackend {
         InProcessBackend {
             template,
             servers: Mutex::new((0..shards).map(|_| None).collect()),
+            namespace: format!(
+                "{}-{}",
+                std::process::id(),
+                BACKENDS.fetch_add(1, Ordering::Relaxed)
+            ),
         }
     }
 }
@@ -45,7 +59,7 @@ impl Backend for InProcessBackend {
     fn start(&self, shard: u32, generation: u64) -> std::io::Result<Endpoint> {
         let path = std::env::temp_dir().join(format!(
             "mdfused-shard-{}-{shard}-g{generation}.sock",
-            std::process::id()
+            self.namespace
         ));
         let mut config = self.template.clone();
         config.endpoint = Endpoint::Unix(path);

@@ -2,6 +2,7 @@
 //! bit-identity against the single-process oracle, and shard-kill
 //! failover with a typed rerouted outcome.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,9 +111,13 @@ fn submit_via(endpoint: &Endpoint, source: &str, engine: Engine) -> Response {
 }
 
 fn fleet_config(shards: u32) -> (RouterConfig, Arc<InProcessBackend>) {
-    let template = ServiceConfig::new(
-        std::env::temp_dir().join(format!("mdf-router-test-{}.sock", std::process::id())),
-    );
+    // Tests run in parallel in one process: each fleet gets its own name.
+    static FLEETS: AtomicU64 = AtomicU64::new(0);
+    let fleet = FLEETS.fetch_add(1, Ordering::Relaxed);
+    let template = ServiceConfig::new(std::env::temp_dir().join(format!(
+        "mdf-router-test-{}-{fleet}.sock",
+        std::process::id()
+    )));
     let backend = Arc::new(InProcessBackend::new(shards, template));
     let mut config = RouterConfig::new(Endpoint::parse("tcp:127.0.0.1:0"), shards);
     config.health_interval = Duration::from_millis(200);

@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The repo benchmark is its own package (outside the workspace): its
+# smoke and negative tests fail when a product change breaks its contract.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fuzz smoke (50 cases)"
 ./target/release/mdfuse fuzz --cases 50 --seed 1
 
