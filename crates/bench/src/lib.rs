@@ -9,8 +9,8 @@
 //!   `fig14_hyperplane`, `table1_suite`, `table2_baselines`,
 //!   `fig_speedup`, `fig_complexity`;
 //! * **criterion benches** (`benches/`): wall-clock measurements —
-//!   `bench_algorithms` (FX1), `bench_execution` (FX2), `bench_rayon`
-//!   (FX3), `bench_ablation`.
+//!   `bench_algorithms` (FX1), `bench_execution` (FX2), `bench_ablation`.
+//!   Real-thread execution is measured on the kernel by `mdfuse bench`.
 //!
 //! This library holds the cost-model extensions shared by the binaries:
 //! makespans for baseline partitions and for shift-and-peel executions.

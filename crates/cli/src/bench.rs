@@ -63,10 +63,7 @@ use mdf_core::{plan_fusion_traced, DegradedPlan, FusionPlan};
 use mdf_graph::{Budget, BudgetMeter, MdfError};
 use mdf_ir::retgen::FusedSpec;
 use mdf_kernel::CompiledKernel;
-use mdf_sim::{
-    align_plan_to_program, run_fused_ordered_budgeted, run_original_budgeted,
-    run_wavefront_budgeted, ExecStats, RowOrder,
-};
+use mdf_sim::{align_plan_to_program, run_budgeted, run_original_budgeted, ExecStats, Schedule};
 use mdf_trace::json::{escape as json_escape, parse as parse_json, Json};
 use mdf_trace::Span;
 
@@ -365,16 +362,9 @@ fn bench_entry(
                     // Timed rows must be whole runs: a deadline-truncated
                     // partial outcome converts back to its typed cause
                     // here.
-                    let (mem, stats) = match &plan {
-                        FusionPlan::FullParallel { .. } => {
-                            run_fused_ordered_budgeted(&spec, n, m, RowOrder::Ascending, meter)?
-                                .into_complete()?
-                        }
-                        FusionPlan::Hyperplane { wavefront, .. } => {
-                            run_wavefront_budgeted(&spec, *wavefront, n, m, meter)?
-                                .into_complete()?
-                        }
-                    };
+                    let schedule = Schedule::for_plan(&plan);
+                    let (mem, stats) =
+                        run_budgeted(&spec, schedule, n, m, meter, None)?.into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),
                 fingerprint: 0,
@@ -384,7 +374,7 @@ fn bench_entry(
             EngineSamples {
                 engine: "kernel",
                 body: Box::new(|meter| {
-                    let (mem, stats) = kernel.run_budgeted(mode, meter)?.into_complete()?;
+                    let (mem, stats) = kernel.run_budgeted(mode, meter, None)?.into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),
                 fingerprint: 0,
@@ -394,7 +384,7 @@ fn bench_entry(
             EngineSamples {
                 engine: "verified",
                 body: Box::new(|meter| {
-                    let (mem, stats) = armed.run_budgeted(mode, meter)?.into_complete()?;
+                    let (mem, stats) = armed.run_budgeted(mode, meter, None)?.into_complete()?;
                     Ok((mem.fingerprint(), stats))
                 }),
                 fingerprint: 0,

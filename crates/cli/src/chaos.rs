@@ -70,9 +70,8 @@ use mdf_service::proto::{ErrCode, Response, Submit};
 use mdf_service::transport::Endpoint;
 use mdf_service::{Client, Engine, Server, ServiceConfig};
 use mdf_sim::{
-    resume_fused_supervised, resume_wavefront_supervised, run_fused_ordered, run_fused_supervised,
-    run_original, run_wavefront, run_wavefront_supervised, ExecStats, RecoveryStats, RetryPolicy,
-    RowOrder, SupervisedOutcome,
+    run_fused_ordered, run_original, run_supervised, run_wavefront, ExecStats, RecoveryStats,
+    RetryPolicy, RowOrder, Schedule, SupervisedOutcome,
 };
 use mdf_trace::json::{escape as json_escape, parse as parse_json};
 use mdf_trace::Span;
@@ -241,21 +240,17 @@ fn baseline(name: &str, program: &Program) -> Result<Option<Baseline>, CliError>
     }))
 }
 
-/// The supervised interpreter run matching `plan`'s shape.
+/// The supervised interpreter run matching `plan`'s shape, fresh or
+/// resumed.
 fn interp_supervised(
     spec: &FusedSpec,
     plan: &FusionPlan,
     meter: &mut BudgetMeter,
     policy: &RetryPolicy,
+    resume: Option<(mdf_sim::Memory, mdf_sim::Checkpoint)>,
 ) -> Result<SupervisedOutcome<mdf_sim::Memory>, MdfError> {
-    match plan {
-        FusionPlan::FullParallel { .. } => {
-            run_fused_supervised(spec, SWEEP_N, SWEEP_M, RowOrder::Ascending, meter, policy)
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            run_wavefront_supervised(spec, *wavefront, SWEEP_N, SWEEP_M, meter, policy)
-        }
-    }
+    let schedule = Schedule::for_plan(plan);
+    run_supervised(spec, schedule, SWEEP_N, SWEEP_M, meter, policy, resume)
 }
 
 /// Runs one clean probe over the full pipeline (planning, then both
@@ -268,9 +263,9 @@ fn probe(b: &Baseline) -> Result<BTreeMap<&'static str, u64>, CliError> {
     mdf_core::plan_fusion_budgeted(&b.graph, &chaos)?;
     let mut meter = chaos.meter();
     b.kernel
-        .run_supervised(b.mode, SWEEP_THREADS, &policy, &mut meter)?;
+        .run_supervised(b.mode, SWEEP_THREADS, &policy, &mut meter, None)?;
     let mut meter = chaos.meter();
-    interp_supervised(&b.spec, &b.plan, &mut meter, &policy)?;
+    interp_supervised(&b.spec, &b.plan, &mut meter, &policy, None)?;
     Ok(guard.all_hits().into_iter().collect())
 }
 
@@ -369,7 +364,7 @@ fn classify(
     if interp {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut meter = chaos.meter();
-            interp_supervised(&spec, &plan, &mut meter, policy)
+            interp_supervised(&spec, &plan, &mut meter, policy, None)
         }));
         match run {
             Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
@@ -392,28 +387,15 @@ fn classify(
                 // Resume under a clean meter: the partial report's promise
                 // is that the checkpoint completes bit-identically.
                 let mut meter = Budget::unlimited().meter();
-                let resumed = match &plan {
-                    FusionPlan::FullParallel { .. } => resume_fused_supervised(
-                        &spec,
-                        SWEEP_N,
-                        SWEEP_M,
-                        RowOrder::Ascending,
-                        mem,
-                        checkpoint,
-                        &mut meter,
-                        policy,
-                    ),
-                    FusionPlan::Hyperplane { wavefront, .. } => resume_wavefront_supervised(
-                        &spec, *wavefront, SWEEP_N, SWEEP_M, mem, checkpoint, &mut meter, policy,
-                    ),
-                };
+                let resume = Some((mem, checkpoint));
+                let resumed = interp_supervised(&spec, &plan, &mut meter, policy, resume);
                 partial_class(b, resumed, want, recovery, |m| m.fingerprint())
             }
         }
     } else {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut meter = chaos.meter();
-            kernel.run_supervised(mode, SWEEP_THREADS, policy, &mut meter)
+            kernel.run_supervised(mode, SWEEP_THREADS, policy, &mut meter, None)
         }));
         match run {
             Err(p) => Class::UnhandledPanic(crate::panic_message(p)),
@@ -434,13 +416,12 @@ fn classify(
             })) => {
                 fold_recovery(recovery, &r);
                 let mut meter = Budget::unlimited().meter();
-                let resumed = kernel.resume_supervised(
+                let resumed = kernel.run_supervised(
                     mode,
                     SWEEP_THREADS,
                     policy,
                     &mut meter,
-                    mem,
-                    checkpoint,
+                    Some((mem, checkpoint)),
                 );
                 partial_class(b, resumed, want, recovery, |m| m.fingerprint())
             }

@@ -299,7 +299,7 @@ fn check_kernel_oracle(p: &Program, plan: &FusionPlan, budget: &Budget) -> Resul
     let mode = kernel_plan_mode(&spec, plan);
     let mut meter = budget.meter();
     let (kmem, kstats) = kernel
-        .run_budgeted(mode, &mut meter)
+        .run_budgeted(mode, &mut meter, None)
         .and_then(mdf_sim::RunOutcome::into_complete)
         .map_err(|e| stage_error("kernel run", e))?;
     let (imem, istats) = mdf_sim::run_original(p, SIM_N, SIM_M);
@@ -356,7 +356,7 @@ fn check_chaos_oracle(
     let guard = FaultPlan::single(site, kind, trigger).arm();
     let mut meter = budget.with_chaos().meter();
     let out = kernel
-        .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter)
+        .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter, None)
         .map_err(|e| stage_error("chaos replay", e));
     let injected = guard.injected();
     drop(guard);

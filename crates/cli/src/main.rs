@@ -381,21 +381,10 @@ fn cmd_run(
             let exec = span.child("execute");
             // `run` wants a full answer: a deadline-truncated partial
             // outcome converts back to its typed cause (exit 5).
-            let (mem, stats) = match &plan {
-                mdf_core::FusionPlan::FullParallel { .. } => mdf_sim::run_fused_ordered_traced(
-                    &spec,
-                    n,
-                    m,
-                    mdf_sim::RowOrder::Ascending,
-                    &mut meter,
-                    &exec,
-                )?
-                .into_complete()?,
-                mdf_core::FusionPlan::Hyperplane { wavefront, .. } => {
-                    mdf_sim::run_wavefront_traced(&spec, *wavefront, n, m, &mut meter, &exec)?
-                        .into_complete()?
-                }
-            };
+            let schedule = mdf_sim::Schedule::for_plan(&plan);
+            let (mem, stats) =
+                mdf_sim::run_budgeted(&spec, schedule, n, m, &mut meter, None)?.into_complete()?;
+            stats.report(&exec);
             exec.finish();
             (mem.fingerprint(), stats, "interp".to_string())
         }
@@ -408,9 +397,8 @@ fn cmd_run(
             let armed = k.arm(mode).is_ok();
             lower.finish();
             let exec = span.child("execute");
-            let (mem, stats) = k
-                .run_budgeted_traced(mode, &mut meter, &exec)?
-                .into_complete()?;
+            let (mem, stats) = k.run_budgeted(mode, &mut meter, None)?.into_complete()?;
+            k.report_exec(mode, rayon::current_num_threads(), &stats, &exec);
             exec.finish();
             let mode_name = match mode {
                 mdf_kernel::ExecMode::RowsCertified => "rows-doall",
@@ -440,7 +428,8 @@ fn cmd_run(
     };
     let wall = t0.elapsed().as_secs_f64() * 1e3;
     let crosscheck = span.child("crosscheck");
-    let (omem, ostats) = mdf_sim::run_original_traced(program, n, m, &mut meter, &crosscheck)?;
+    let (omem, ostats) = mdf_sim::run_original_budgeted(program, n, m, &mut meter)?;
+    ostats.report(&crosscheck);
     crosscheck.finish();
     if omem.fingerprint() != fp {
         return Err(CliError::Internal(format!(

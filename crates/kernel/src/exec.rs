@@ -45,6 +45,13 @@
 //! worker stops at the next one, and the first panic resumes in the
 //! caller once the scope has joined.
 //!
+//! Every run enters that one driver: [`CompiledKernel::run_with_threads`]
+//! with no meter, [`CompiledKernel::run_budgeted`] with one, and
+//! [`CompiledKernel::run_supervised`] one barrier at a time under
+//! `mdf_sim::supervise_run`. Resuming is the `resume` argument of the
+//! latter two, and tracing is [`CompiledKernel::report_exec`] after the
+//! run.
+//!
 //! Counters ([`ExecStats`]) match the interpreter's accounting exactly:
 //! one barrier per fused row / non-empty wavefront group, one statement
 //! instance per executed assignment — so BENCH reports are directly
@@ -533,7 +540,10 @@ impl CompiledKernel {
     /// benches can force either path deterministically.
     pub fn run_with_threads(&self, mode: ExecMode, threads: usize) -> (KernelMemory, ExecStats) {
         let mut mem = KernelMemory::new(self.layout);
-        match self.drive_from(mode, &mut mem, threads, None, 0, ExecStats::default()) {
+        let steps = self.steps(mode);
+        let range = 0..self.step_total(&steps);
+        let unchecked = self.is_armed(mode);
+        match self.drive_steps(&steps, unchecked, &mut mem, range, threads, Lead::default()) {
             Ok(DriveEnd::Complete(stats)) => (mem, stats),
             _ => unreachable!("an unmetered drive has no gate to stop or fail it"),
         }
@@ -541,53 +551,47 @@ impl CompiledKernel {
 
     /// Runs under a resource budget: cells charged before allocation, the
     /// deadline re-checked and statement instances charged at every
-    /// barrier (fused row or wavefront group), mirroring the budgeted
-    /// interpreter drivers in `mdf-sim`. Deadline expiry at a barrier top
-    /// does not discard completed work: it returns
-    /// [`RunOutcome::Partial`] with the live image and a resumable
-    /// [`Checkpoint`]; every other budget trip stays a typed error.
+    /// barrier (fused row, tile wave or wavefront group), mirroring
+    /// `mdf_sim::run_budgeted`. Deadline expiry at a barrier top does not
+    /// discard completed work: it returns [`RunOutcome::Partial`] with the
+    /// live image and a resumable [`Checkpoint`]; every other budget trip
+    /// stays a typed error.
+    ///
+    /// With `resume`, the run continues from an earlier partial outcome's
+    /// checkpoint against the image that outcome carried, verified by
+    /// [`mdf_sim::check_resume`]. Memory cells are *not* re-charged: the
+    /// image is presented, not allocated.
     pub fn run_budgeted(
         &self,
         mode: ExecMode,
         meter: &mut BudgetMeter,
+        resume: Option<(KernelMemory, Checkpoint)>,
     ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        meter.chaos_site("kernel.alloc")?;
-        meter.charge_cells(self.layout.cells() as u64)?;
-        let mem = KernelMemory::new(self.layout);
-        self.finish_budgeted(mode, mem, meter, 0, ExecStats::default())
-    }
-
-    /// Continues a budgeted run from a [`Checkpoint`] produced by an
-    /// earlier partial outcome, against the memory image that outcome
-    /// carried (digest-verified). Memory cells are *not* re-charged: the
-    /// image is presented, not allocated.
-    pub fn resume_budgeted(
-        &self,
-        mode: ExecMode,
-        mem: KernelMemory,
-        checkpoint: Checkpoint,
-        meter: &mut BudgetMeter,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        check_resume(&mem, &checkpoint)?;
-        self.finish_budgeted(
-            mode,
-            mem,
-            meter,
-            checkpoint.completed_barriers,
-            checkpoint.stats,
-        )
-    }
-
-    fn finish_budgeted(
-        &self,
-        mode: ExecMode,
-        mut mem: KernelMemory,
-        meter: &mut BudgetMeter,
-        start: u64,
-        stats0: ExecStats,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
+        let (mut mem, checkpoint) = match resume {
+            Some((mem, checkpoint)) => (mem, Some(checkpoint)),
+            None => {
+                meter.chaos_site("kernel.alloc")?;
+                meter.charge_cells(self.layout.cells() as u64)?;
+                (KernelMemory::new(self.layout), None)
+            }
+        };
+        let steps = self.steps(mode);
+        let total = self.step_total(&steps);
+        let (start, stats) = match checkpoint {
+            Some(cp) => {
+                check_resume(&mem, &cp, total)?;
+                (cp.completed_barriers, cp.stats)
+            }
+            None => (0, ExecStats::default()),
+        };
+        let lead = Lead {
+            meter: Some(meter),
+            stats,
+            ..Lead::default()
+        };
         let threads = rayon::current_num_threads();
-        match self.drive_from(mode, &mut mem, threads, Some(meter), start, stats0)? {
+        let unchecked = self.is_armed(mode);
+        match self.drive_steps(&steps, unchecked, &mut mem, start..total, threads, lead)? {
             DriveEnd::Complete(stats) => Ok(RunOutcome::Complete { mem, stats }),
             DriveEnd::Stopped {
                 completed,
@@ -610,32 +614,10 @@ impl CompiledKernel {
     /// barrier, a snapshot checkpoint after each, recoverable failures
     /// (caught worker panics, deadline reports) restored and retried per
     /// `policy` with multi-thread → serial degradation. A completed
-    /// supervised run is bit-identical to an uninterrupted one.
+    /// supervised run is bit-identical to an uninterrupted one. With
+    /// `resume`, the run continues from a prior checkpoint (verified by
+    /// [`mdf_sim::check_resume`]) instead of fresh memory.
     pub fn run_supervised(
-        &self,
-        mode: ExecMode,
-        threads: usize,
-        policy: &RetryPolicy,
-        meter: &mut BudgetMeter,
-    ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        self.supervise(mode, threads, policy, meter, None)
-    }
-
-    /// As [`CompiledKernel::run_supervised`], continuing from a prior
-    /// checkpoint (digest-verified) instead of fresh memory.
-    pub fn resume_supervised(
-        &self,
-        mode: ExecMode,
-        threads: usize,
-        policy: &RetryPolicy,
-        meter: &mut BudgetMeter,
-        mem: KernelMemory,
-        checkpoint: Checkpoint,
-    ) -> Result<SupervisedOutcome<KernelMemory>, MdfError> {
-        self.supervise(mode, threads, policy, meter, Some((mem, checkpoint)))
-    }
-
-    fn supervise(
         &self,
         mode: ExecMode,
         threads: usize,
@@ -673,49 +655,17 @@ impl CompiledKernel {
         )
     }
 
-    /// As [`CompiledKernel::run`], reporting execution counters onto `span`
-    /// (see [`CompiledKernel::run_with_threads_traced`]).
-    pub fn run_traced(&self, mode: ExecMode, span: &Span) -> (KernelMemory, ExecStats) {
-        self.run_with_threads_traced(mode, rayon::current_num_threads(), span)
-    }
-
-    /// As [`CompiledKernel::run_with_threads`], reporting execution
-    /// counters onto `span`: `kernel.barriers`, `kernel.instances`, plus
-    /// `kernel.rows` / `kernel.groups` for the mode taken and
-    /// `kernel.tiles` when the tiled threaded path is active. Counters are
-    /// derived after the run from [`ExecStats`] and the kernel's shape —
-    /// nothing is counted inside the hot loops, so the run itself is
-    /// bit-identical to the untraced one.
-    pub fn run_with_threads_traced(
-        &self,
-        mode: ExecMode,
-        threads: usize,
-        span: &Span,
-    ) -> (KernelMemory, ExecStats) {
-        let out = self.run_with_threads(mode, threads);
-        self.report_exec(mode, threads, &out.1, span);
-        out
-    }
-
-    /// As [`CompiledKernel::run_budgeted`], reporting the execution
-    /// counters accumulated so far (final on complete runs) onto `span`
-    /// (see [`CompiledKernel::run_with_threads_traced`]).
-    pub fn run_budgeted_traced(
-        &self,
-        mode: ExecMode,
-        meter: &mut BudgetMeter,
-        span: &Span,
-    ) -> Result<RunOutcome<KernelMemory>, MdfError> {
-        let out = self.run_budgeted(mode, meter)?;
-        self.report_exec(mode, rayon::current_num_threads(), &out.stats(), span);
-        Ok(out)
-    }
-
-    /// Post-run counter reporting, shared by the traced entry points.
-    /// `stats.barriers` equals rows executed (row modes) or non-empty
-    /// wavefront groups (wavefront mode), so the mode-specific counters
-    /// are exact without re-walking the iteration space.
-    fn report_exec(&self, mode: ExecMode, threads: usize, stats: &ExecStats, span: &Span) {
+    /// Reports a finished run's counters onto `span`: `kernel.barriers`,
+    /// `kernel.instances`, plus `kernel.rows` / `kernel.groups` for the
+    /// mode taken, `kernel.tiles` when the tiled threaded row path was
+    /// active under `threads` workers, and the tile plan's `wavefront.*`
+    /// counters. Everything is derived after the run from `stats` and the
+    /// kernel's shape — nothing is counted inside the hot loops, so a
+    /// traced run is bit-identical to an untraced one. `stats.barriers`
+    /// equals rows executed (row modes) or non-empty wavefront groups
+    /// (wavefront mode), so the mode-specific counters are exact without
+    /// re-walking the iteration space.
+    pub fn report_exec(&self, mode: ExecMode, threads: usize, stats: &ExecStats, span: &Span) {
         if !span.is_enabled() {
             return;
         }
@@ -743,27 +693,6 @@ impl CompiledKernel {
                 }
             }
         }
-    }
-
-    /// Executes barriers `start..` of `mode`, accumulating onto `stats0`
-    /// (see [`Self::drive_steps`]).
-    fn drive_from(
-        &self,
-        mode: ExecMode,
-        mem: &mut KernelMemory,
-        threads: usize,
-        meter: Option<&mut BudgetMeter>,
-        start: u64,
-        stats0: ExecStats,
-    ) -> Result<DriveEnd, MdfError> {
-        let steps = self.steps(mode);
-        let range = start..self.step_total(&steps);
-        let lead = Lead {
-            meter,
-            stats: stats0,
-            ..Lead::default()
-        };
-        self.drive_steps(&steps, self.is_armed(mode), mem, range, threads, lead)
     }
 
     /// The barrier-granular driver: executes `range` of `steps` in one
@@ -1426,7 +1355,7 @@ mod tests {
         let k = CompiledKernel::compile(&spec, 9, 7).unwrap();
         let mut meter = Budget::unlimited().meter();
         let (bmem, bstats) = k
-            .run_budgeted(mode, &mut meter)
+            .run_budgeted(mode, &mut meter, None)
             .unwrap()
             .into_complete()
             .unwrap();
@@ -1435,7 +1364,7 @@ mod tests {
         assert_eq!(bstats, pstats);
 
         let mut tight = Budget::unlimited().with_max_iterations(10).meter();
-        match k.run_budgeted(mode, &mut tight) {
+        match k.run_budgeted(mode, &mut tight, None) {
             Err(MdfError::BudgetExceeded {
                 resource: BudgetResource::Iterations,
                 ..
@@ -1444,7 +1373,7 @@ mod tests {
         }
 
         let mut tiny = Budget::unlimited().with_max_memory_cells(4).meter();
-        match k.run_budgeted(mode, &mut tiny) {
+        match k.run_budgeted(mode, &mut tiny, None) {
             Err(MdfError::BudgetExceeded {
                 resource: BudgetResource::MemoryCells,
                 ..
@@ -1470,7 +1399,7 @@ mod tests {
         for b in 1..=total {
             let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
             let mut meter = Budget::unlimited().with_chaos().meter();
-            let out = k.run_budgeted(mode, &mut meter).unwrap();
+            let out = k.run_budgeted(mode, &mut meter, None).unwrap();
             drop(guard);
             let RunOutcome::Partial {
                 mem,
@@ -1486,7 +1415,7 @@ mod tests {
 
             let mut meter = Budget::unlimited().meter();
             let (rmem, rstats) = k
-                .resume_budgeted(mode, mem, checkpoint, &mut meter)
+                .run_budgeted(mode, &mut meter, Some((mem, checkpoint)))
                 .unwrap()
                 .into_complete()
                 .unwrap();
@@ -1509,7 +1438,7 @@ mod tests {
             mut mem,
             checkpoint,
             ..
-        } = k.run_budgeted(mode, &mut meter).unwrap()
+        } = k.run_budgeted(mode, &mut meter, None).unwrap()
         else {
             panic!("expected partial");
         };
@@ -1517,7 +1446,7 @@ mod tests {
         mem.data_mut()[0] ^= 1;
         let mut meter = Budget::unlimited().meter();
         assert!(k
-            .resume_budgeted(mode, mem, checkpoint, &mut meter)
+            .run_budgeted(mode, &mut meter, Some((mem, checkpoint)))
             .is_err());
     }
 
@@ -1537,7 +1466,7 @@ mod tests {
         let guard = FaultPlan::single("kernel.chunk.mid", FaultKind::WorkerPanic, 3).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
         let out = k
-            .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter)
+            .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter, None)
             .unwrap();
         assert_eq!(guard.injected(), 1);
         drop(guard);
@@ -1569,7 +1498,7 @@ mod tests {
         let guard = FaultPlan::single("kernel.alloc", FaultKind::AllocRefusal, 1).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
         let out = k
-            .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter)
+            .run_supervised(mode, 1, &RetryPolicy::deterministic(), &mut meter, None)
             .unwrap();
         assert_eq!(guard.injected(), 1);
         drop(guard);
@@ -1606,7 +1535,8 @@ mod tests {
         let sink = Arc::new(mdf_trace::MemorySink::new());
         let tracer = mdf_trace::Tracer::new(sink.clone());
         let span = tracer.span("execute");
-        let out = k.run_with_threads_traced(mode, threads, &span);
+        let out = k.run_with_threads(mode, threads);
+        k.report_exec(mode, threads, &out.1, &span);
         span.finish();
         (out, sink.profile().unwrap())
     }
@@ -1751,14 +1681,14 @@ mod tests {
         assert_eq!(k.barrier_count(mode), tp.waves());
         let mut meter = Budget::unlimited().meter();
         let (_, bstats) = k
-            .run_budgeted(mode, &mut meter)
+            .run_budgeted(mode, &mut meter, None)
             .unwrap()
             .into_complete()
             .unwrap();
         assert_eq!(bstats.barriers, tp.waves());
         let mut meter = Budget::unlimited().meter();
         let out = k
-            .run_supervised(mode, 2, &RetryPolicy::deterministic(), &mut meter)
+            .run_supervised(mode, 2, &RetryPolicy::deterministic(), &mut meter, None)
             .unwrap();
         assert!(out.is_complete());
         assert_eq!(out.recovery().checkpoints_taken, tp.waves());

@@ -1,12 +1,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # `mdf-kernel` — compiled execution engine for fused schedules
 //!
-//! The reference path in `mdf-sim` is a tree-walking interpreter: every
-//! statement instance re-traverses its `Expr` AST, every array access
-//! re-derives a halo-adjusted 2-D index, and the thread-safe `parallel`
-//! runner buffers writes into per-iteration overlays that are applied
-//! after each barrier. That is the right substrate for *checking*
-//! transformations; it is the wrong substrate for *running* them.
+//! The reference path in `mdf-sim` is a sequential tree-walking
+//! interpreter: every statement instance re-traverses its `Expr` AST and
+//! every array access re-derives a halo-adjusted 2-D index. That is the
+//! right substrate for *checking* transformations; it is the wrong
+//! substrate for *running* them. This crate is the workspace's one
+//! parallel engine, checked against that interpreter.
 //!
 //! This crate lowers a [`FusedSpec`] (program + retiming) once into a
 //! flat, allocation-free kernel and executes the planned iteration space
@@ -31,8 +31,7 @@
 //! [`certify_doall`] and only a `Certified` verdict unlocks the loop-major
 //! traversal and threaded in-place writes; anything else degrades to the
 //! canonical sequential serialization (still compiled, still in place —
-//! a single thread cannot race itself). Callers who want the buffered
-//! interpreter path instead can keep using `mdf_sim::parallel`.
+//! a single thread cannot race itself).
 //!
 //! A second, independent gate governs *bounds checks*: by default every
 //! load and store asserts its flat index against the buffer length. A

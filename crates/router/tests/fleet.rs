@@ -177,7 +177,13 @@ fn cross_shard_results_match_the_single_process_oracle() {
 /// respawns the shard into a healthy fleet.
 #[test]
 fn shard_kill_reroutes_and_respawns() {
-    let (config, backend) = fleet_config(2);
+    let (mut config, backend) = fleet_config(2);
+    // The kill and the resubmit below must land between two health
+    // sweeps: a sweep that pings the drained shard first takes it off the
+    // ring, and the resubmit then goes straight to the live shard with
+    // nothing to reroute. This fleet sweeps every 2 s; the respawn comes
+    // with the second sweep.
+    config.health_interval = Duration::from_secs(2);
     let router = Router::start(config, Box::new(SharedBackend(Arc::clone(&backend)))).unwrap();
     let endpoint = router.endpoint().clone();
 
@@ -190,7 +196,10 @@ fn shard_kill_reroutes_and_respawns() {
     let home = first.shard;
 
     // Kill the owning shard out from under the router and resubmit
-    // immediately — before the health loop's next ping can notice.
+    // immediately — before the health loop's next ping can notice. The
+    // first sweep starts with the router; on a loaded host its thread can
+    // be scheduled late, so let it finish before the kill.
+    std::thread::sleep(Duration::from_millis(300));
     backend.stop(home);
     let resp = submit_via(&endpoint, &source, Engine::Kernel);
     let Response::Done(rerouted) = resp else {

@@ -42,8 +42,7 @@ use mdf_ir::extract::extract_mldg;
 use mdf_ir::retgen::FusedSpec;
 use mdf_kernel::BytecodeCert;
 use mdf_sim::{
-    deadline_expired, resume_fused_supervised, resume_wavefront_supervised, run_fused_supervised,
-    run_wavefront_supervised, ExecStats, RetryPolicy, RowOrder, SupervisedOutcome,
+    deadline_expired, run_supervised, ExecStats, RetryPolicy, Schedule, SupervisedOutcome,
 };
 use mdf_trace::Tracer;
 
@@ -826,43 +825,18 @@ fn run_once(
     let config = &shared.config;
     match submit.engine {
         Engine::Interp => {
-            let outcome = match (plan, attempt) {
-                (FusionPlan::FullParallel { .. }, Attempt::Fresh) => run_fused_supervised(
-                    spec,
-                    submit.n,
-                    submit.m,
-                    RowOrder::Ascending,
-                    meter,
-                    policy,
-                )?,
-                (
-                    FusionPlan::FullParallel { .. },
-                    Attempt::Resume(ResumeState::Interp(mem, cp)),
-                ) => resume_fused_supervised(
-                    spec,
-                    submit.n,
-                    submit.m,
-                    RowOrder::Ascending,
-                    mem,
-                    cp,
-                    meter,
-                    policy,
-                )?,
-                (FusionPlan::Hyperplane { wavefront, .. }, Attempt::Fresh) => {
-                    run_wavefront_supervised(spec, *wavefront, submit.n, submit.m, meter, policy)?
-                }
-                (
-                    FusionPlan::Hyperplane { wavefront, .. },
-                    Attempt::Resume(ResumeState::Interp(mem, cp)),
-                ) => resume_wavefront_supervised(
-                    spec, *wavefront, submit.n, submit.m, mem, cp, meter, policy,
-                )?,
-                (_, Attempt::Resume(ResumeState::Kernel(..))) => {
+            let resume = match attempt {
+                Attempt::Fresh => None,
+                Attempt::Resume(ResumeState::Interp(mem, cp)) => Some((mem, cp)),
+                Attempt::Resume(ResumeState::Kernel(..)) => {
                     return Err(MdfError::invalid(
                         "internal: kernel checkpoint resumed on the interpreter",
                     ))
                 }
             };
+            let schedule = Schedule::for_plan(plan);
+            let (n, m) = (submit.n, submit.m);
+            let outcome = run_supervised(spec, schedule, n, m, meter, policy, resume)?;
             Ok(match outcome {
                 SupervisedOutcome::Complete {
                     mem,
@@ -908,17 +882,16 @@ fn run_once(
                     persist_entry(shared, hint.key, entry);
                 }
             }
-            let outcome = match attempt {
-                Attempt::Fresh => k.run_supervised(mode, config.threads, policy, meter)?,
-                Attempt::Resume(ResumeState::Kernel(mem, cp)) => {
-                    k.resume_supervised(mode, config.threads, policy, meter, mem, cp)?
-                }
+            let resume = match attempt {
+                Attempt::Fresh => None,
+                Attempt::Resume(ResumeState::Kernel(mem, cp)) => Some((mem, cp)),
                 Attempt::Resume(ResumeState::Interp(..)) => {
                     return Err(MdfError::invalid(
                         "internal: interpreter checkpoint resumed on the kernel",
                     ))
                 }
             };
+            let outcome = k.run_supervised(mode, config.threads, policy, meter, resume)?;
             Ok(match outcome {
                 SupervisedOutcome::Complete {
                     mem,

@@ -1,17 +1,26 @@
 //! Executing fused, retimed programs — and checking them against the
 //! reference interpreter.
 //!
-//! Execution models:
-//! * [`run_fused`] — row-major order (the serialization of a DOALL fused
-//!   loop, and of any legally-fused loop: all retimed dependences are
-//!   `>= (0,0)`, so ascending `J` respects forward row dependences);
-//! * [`run_fused_desc`] — row-major with `J` *descending*: an adversarial
-//!   serialization that produces the same result **iff** no dependence
-//!   binds within a row, i.e. exactly when the fused loop really is DOALL;
-//! * [`run_wavefront`] — hyperplane order for Algorithm 5 plans.
+//! A fused execution is a sequence of barrier steps, named by a
+//! [`Schedule`]:
+//! * [`Schedule::Rows`] — one step per fused row. Ascending `J` is the
+//!   serialization of any legally-fused loop (all retimed dependences are
+//!   `>= (0,0)`); descending `J` is an adversarial serialization that
+//!   produces the same result **iff** no dependence binds within a row,
+//!   i.e. exactly when the fused loop really is DOALL;
+//! * [`Schedule::Wavefront`] — one step per non-empty hyperplane group,
+//!   for Algorithm 5 plans;
+//! * [`Schedule::Clusters`] — one step per cluster per fused row, for
+//!   partial-fusion plans.
 //!
+//! One private driver runs any range of those steps, with or without a
+//! budget meter, behind the plain runs ([`run_fused`], [`run_wavefront`],
+//! [`run_partitioned`], …), [`run_budgeted`] and [`run_supervised`].
 //! [`check_plan`] runs the full pipeline for a plan and compares every
 //! memory image against the original program's.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use mdf_core::{FusionPlan, PartialFusionPlan};
 use mdf_graph::mldg::{Mldg, NodeId};
@@ -26,14 +35,6 @@ use crate::recover::{
     SupervisedOutcome,
 };
 
-/// The fused body order, or a typed error for non-executable specs (a
-/// `(0,0)`-dependence cycle between loops) instead of a panic.
-pub(crate) fn body_order_typed(spec: &FusedSpec) -> Result<Vec<usize>, MdfError> {
-    spec.body_order().ok_or_else(|| {
-        MdfError::invalid("fused body has a (0,0)-dependence cycle: the program is not executable")
-    })
-}
-
 /// Inner-loop traversal order for fused row execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowOrder {
@@ -43,242 +44,151 @@ pub enum RowOrder {
     Descending,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_body_at(
-    spec: &FusedSpec,
-    order: &[usize],
-    mem: &mut Memory,
-    fi: i64,
-    fj: i64,
-    n: i64,
-    m: i64,
-    stats: &mut ExecStats,
-) {
-    for &li in order {
-        if !spec.node_active(li, fi, fj, n, m) {
-            continue;
-        }
-        let r = spec.offsets[li];
-        let (i, j) = (fi + r.x, fj + r.y);
-        for s in &spec.program.loops[li].stmts {
-            let v = eval_expr(mem, &s.rhs, i, j);
-            mem.write(&s.lhs, i, j, v);
-            stats.stmt_instances += 1;
+/// The barrier sequence of a fused execution (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule<'a> {
+    /// One barrier per fused row, the row swept in the given order.
+    Rows(RowOrder),
+    /// One barrier per non-empty group of cells sharing `s · (fi, fj)`,
+    /// groups ascending.
+    Wavefront(Wavefront),
+    /// A partial-fusion plan's clusters: within each fused row the
+    /// clusters run in order with a barrier after each, each cluster's row
+    /// sweep row-DOALL.
+    Clusters(&'a [Vec<NodeId>]),
+}
+
+impl Schedule<'_> {
+    /// The schedule a fully-fused plan executes in: ascending rows for a
+    /// full-parallel plan, its hyperplane groups for a wavefront plan.
+    pub fn for_plan(plan: &FusionPlan) -> Schedule<'static> {
+        match plan {
+            FusionPlan::FullParallel { .. } => Schedule::Rows(RowOrder::Ascending),
+            FusionPlan::Hyperplane { wavefront, .. } => Schedule::Wavefront(*wavefront),
         }
     }
 }
 
-/// Runs the fused program row by row with the chosen inner order.
-///
-/// One barrier is charged per fused row — the synchronization saving the
-/// paper reports (Section 4.2's `7n` vs `n - 2` arithmetic comes from this
-/// model plus the unfused one in [`run_original`]).
-pub fn run_fused_ordered(spec: &FusedSpec, n: i64, m: i64, order: RowOrder) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle: input was not executable");
-    // Guards keep every access within max_offset of [0,n]x[0,m], so the
-    // fused run uses the same allocation as the reference interpreter and
-    // the final memory images are directly comparable.
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for fi in orange.lo..=orange.hi {
-        match order {
-            RowOrder::Ascending => {
-                for fj in irange.lo..=irange.hi {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
+/// A [`Schedule`] resolved against a spec and bounds: step `k` is fused
+/// row `outer.lo + k`, wavefront group `k`, or cluster `k % C` of fused
+/// row `outer.lo + k / C`.
+struct Steps<'s> {
+    spec: &'s FusedSpec,
+    n: i64,
+    m: i64,
+    kind: StepKind,
+}
+
+enum StepKind {
+    /// The fused body order, swept cell by cell in `order`.
+    Rows { body: Vec<usize>, order: RowOrder },
+    /// The fused body order and the hyperplane groups.
+    Groups {
+        body: Vec<usize>,
+        groups: Vec<Vec<(i64, i64)>>,
+    },
+    /// Each cluster's members, in fused body order.
+    Clusters(Vec<Vec<usize>>),
+}
+
+impl<'s> Steps<'s> {
+    /// Resolves `schedule`; a typed error for non-executable specs (a
+    /// `(0,0)`-dependence cycle between loops) instead of a panic.
+    fn new(
+        spec: &'s FusedSpec,
+        schedule: Schedule<'_>,
+        n: i64,
+        m: i64,
+    ) -> Result<Steps<'s>, MdfError> {
+        let body = spec.body_order().ok_or_else(|| {
+            MdfError::invalid(
+                "fused body has a (0,0)-dependence cycle: the program is not executable",
+            )
+        })?;
+        let kind = match schedule {
+            Schedule::Rows(order) => StepKind::Rows { body, order },
+            Schedule::Wavefront(w) => StepKind::Groups {
+                groups: wavefront_groups(spec, w.schedule, n, m),
+                body,
+            },
+            Schedule::Clusters(clusters) => StepKind::Clusters(
+                clusters
+                    .iter()
+                    .map(|c| {
+                        body.iter()
+                            .copied()
+                            .filter(|&li| c.iter().any(|n| n.index() == li))
+                    })
+                    .map(Iterator::collect)
+                    .collect(),
+            ),
+        };
+        Ok(Steps { spec, n, m, kind })
+    }
+
+    /// The number of barriers the schedule executes.
+    fn total(&self) -> u64 {
+        let rows = self.spec.outer_range(self.n).len() as u64;
+        match &self.kind {
+            StepKind::Rows { .. } => rows,
+            StepKind::Groups { groups, .. } => groups.len() as u64,
+            StepKind::Clusters(clusters) => rows * clusters.len() as u64,
+        }
+    }
+
+    /// Executes step `k` in place, counting statement instances.
+    fn exec(&self, k: u64, mem: &mut Memory, stats: &mut ExecStats) {
+        let fi0 = self.spec.outer_range(self.n).lo;
+        let inner = self.spec.inner_range(self.m);
+        let mut at = |order: &[usize], fi: i64, fj: i64| self.exec_at(order, fi, fj, mem, stats);
+        match &self.kind {
+            StepKind::Rows { body, order } => {
+                let fi = fi0 + k as i64;
+                match order {
+                    RowOrder::Ascending => (inner.lo..=inner.hi).for_each(|fj| at(body, fi, fj)),
+                    RowOrder::Descending => {
+                        (inner.lo..=inner.hi).rev().for_each(|fj| at(body, fi, fj))
+                    }
                 }
             }
-            RowOrder::Descending => {
-                for fj in (irange.lo..=irange.hi).rev() {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
+            StepKind::Groups { body, groups } => {
+                for &(fi, fj) in &groups[k as usize] {
+                    at(body, fi, fj);
                 }
             }
-        }
-        stats.barriers += 1;
-    }
-    (mem, stats)
-}
-
-/// [`run_fused_ordered`] with ascending rows.
-pub fn run_fused(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
-    run_fused_ordered(spec, n, m, RowOrder::Ascending)
-}
-
-/// [`run_fused_ordered`] with descending rows (adversarial DOALL check).
-pub fn run_fused_desc(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
-    run_fused_ordered(spec, n, m, RowOrder::Descending)
-}
-
-/// Runs the fused program in wavefront order: iterations grouped by
-/// `t = s · (I, J)`, groups ascending; one barrier per non-empty group.
-pub fn run_wavefront(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle: input was not executable");
-    // Guards keep every access within max_offset of [0,n]x[0,m], so the
-    // fused run uses the same allocation as the reference interpreter and
-    // the final memory images are directly comparable.
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let s = wavefront.schedule;
-    // Bucket iterations by their schedule value.
-    let mut buckets: std::collections::BTreeMap<i64, Vec<(i64, i64)>> =
-        std::collections::BTreeMap::new();
-    for fi in orange.lo..=orange.hi {
-        for fj in irange.lo..=irange.hi {
-            if (0..spec.program.loops.len()).any(|l| spec.node_active(l, fi, fj, n, m)) {
-                buckets
-                    .entry(s.x * fi + s.y * fj)
-                    .or_default()
-                    .push((fi, fj));
-            }
-        }
-    }
-    for (_, group) in buckets {
-        for (fi, fj) in group {
-            exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-        }
-        stats.barriers += 1;
-    }
-    (mem, stats)
-}
-
-/// Barrier-top budget-and-chaos gate shared by the budgeted drivers: the
-/// deadline is re-checked and the `sim.barrier` fault site consulted at
-/// the top of every barrier. `Some(outcome)` means "stop here with a
-/// clean partial result"; a non-deadline failure propagates as `Err`.
-fn barrier_gate(
-    meter: &mut BudgetMeter,
-    mem: &Memory,
-    completed: u64,
-    stats: ExecStats,
-) -> Result<Option<RunOutcome<Memory>>, MdfError> {
-    match meter
-        .check_deadline()
-        .and_then(|()| meter.chaos_site("sim.barrier"))
-    {
-        Ok(()) => Ok(None),
-        Err(e) if deadline_expired(&e) => {
-            Ok(Some(RunOutcome::partial(mem.clone(), completed, stats, e)))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// [`run_fused_ordered`] under a resource budget: typed error for
-/// non-executable specs, cells charged at allocation, statement instances
-/// charged per fused row, deadline re-checked every row. Deadline expiry
-/// at a row top returns [`RunOutcome::Partial`] with the completed rows
-/// and a resumable [`Checkpoint`] instead of discarding them.
-pub fn run_fused_ordered_budgeted(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    fused_rows_from(spec, n, m, order, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_fused_ordered_budgeted`] from a prior partial result.
-/// The checkpoint's digest is verified against `mem` before continuing;
-/// a completed resume is bit-identical to an uninterrupted run.
-pub fn resume_fused_ordered_budgeted(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    fused_rows_from(
-        spec,
-        n,
-        m,
-        order,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
-        meter,
-    )
-}
-
-/// Allocation under the budget and the `sim.alloc` fault site.
-fn alloc_budgeted(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-) -> Result<Memory, MdfError> {
-    meter.chaos_site("sim.alloc")?;
-    Memory::for_program_budgeted(&spec.program, n, m, 0, meter)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fused_rows_from(
-    spec: &FusedSpec,
-    n: i64,
-    m: i64,
-    order: RowOrder,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for (idx, fi) in (orange.lo..=orange.hi).enumerate() {
-        if (idx as u64) < start {
-            continue;
-        }
-        if let Some(partial) = barrier_gate(meter, &mem, idx as u64, stats)? {
-            return Ok(partial);
-        }
-        let before = stats.stmt_instances;
-        match order {
-            RowOrder::Ascending => {
-                for fj in irange.lo..=irange.hi {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-                }
-            }
-            RowOrder::Descending => {
-                for fj in (irange.lo..=irange.hi).rev() {
-                    exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
+            StepKind::Clusters(clusters) => {
+                let c = clusters.len() as u64;
+                let fi = fi0 + (k / c) as i64;
+                for fj in inner.lo..=inner.hi {
+                    at(&clusters[(k % c) as usize], fi, fj);
                 }
             }
         }
-        stats.barriers += 1;
-        meter.charge_iterations(stats.stmt_instances - before)?;
     }
-    Ok(RunOutcome::Complete { mem, stats })
+
+    /// Executes the active loops of `order` at fused cell `(fi, fj)`.
+    fn exec_at(&self, order: &[usize], fi: i64, fj: i64, mem: &mut Memory, stats: &mut ExecStats) {
+        for &li in order {
+            if !self.spec.node_active(li, fi, fj, self.n, self.m) {
+                continue;
+            }
+            let r = self.spec.offsets[li];
+            let (i, j) = (fi + r.x, fj + r.y);
+            for s in &self.spec.program.loops[li].stmts {
+                let v = eval_expr(mem, &s.rhs, i, j);
+                mem.write(&s.lhs, i, j, v);
+                stats.stmt_instances += 1;
+            }
+        }
+    }
 }
 
 /// The wavefront groups of the fused iteration space: active cells
-/// bucketed by `s · (fi, fj)`, ascending — the barrier sequence of
-/// hyperplane execution, shared by the budgeted driver and its resume.
-fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64, i64)>> {
+/// bucketed by `s · (fi, fj)`, ascending.
+fn wavefront_groups(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64, i64)>> {
     let orange = spec.outer_range(n);
     let irange = spec.inner_range(m);
-    let mut buckets: std::collections::BTreeMap<i64, Vec<(i64, i64)>> =
-        std::collections::BTreeMap::new();
+    let mut buckets: BTreeMap<i64, Vec<(i64, i64)>> = BTreeMap::new();
     for fi in orange.lo..=orange.hi {
         for fj in irange.lo..=irange.hi {
             if (0..spec.program.loops.len()).any(|l| spec.node_active(l, fi, fj, n, m)) {
@@ -292,212 +202,181 @@ fn wavefront_buckets(spec: &FusedSpec, s: IVec2, n: i64, m: i64) -> Vec<Vec<(i64
     buckets.into_values().collect()
 }
 
-/// [`run_wavefront`] under a resource budget (one deadline check and one
-/// iteration charge per hyperplane group). Deadline expiry at a group top
-/// returns [`RunOutcome::Partial`] with a resumable [`Checkpoint`].
-pub fn run_wavefront_budgeted(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    wavefront_groups_from(spec, wavefront, n, m, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_wavefront_budgeted`] from a prior partial result
-/// (digest-verified, groups skipped by the checkpoint's barrier count).
-pub fn resume_wavefront_budgeted(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    wavefront_groups_from(
-        spec,
-        wavefront,
-        n,
-        m,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
-        meter,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn wavefront_groups_from(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let groups = wavefront_buckets(spec, wavefront.schedule, n, m);
-    for (idx, group) in groups.iter().enumerate() {
-        if (idx as u64) < start {
-            continue;
-        }
-        if let Some(partial) = barrier_gate(meter, &mem, idx as u64, stats)? {
-            return Ok(partial);
+/// The step driver: executes barriers `range` of `steps` over `mem`,
+/// booking onto `stats`. With a meter, the top of every barrier re-checks
+/// the deadline and consults the `sim.barrier` fault site, and every
+/// completed barrier charges its statement instances. A deadline at a
+/// barrier top stops the drive there with the memory clean, returning the
+/// stop index and the cause; any other meter error propagates.
+fn drive(
+    steps: &Steps<'_>,
+    mem: &mut Memory,
+    range: Range<u64>,
+    stats: &mut ExecStats,
+    mut meter: Option<&mut BudgetMeter>,
+) -> Result<Option<(u64, MdfError)>, MdfError> {
+    for k in range {
+        if let Some(meter) = meter.as_deref_mut() {
+            match meter
+                .check_deadline()
+                .and_then(|()| meter.chaos_site("sim.barrier"))
+            {
+                Ok(()) => {}
+                Err(e) if deadline_expired(&e) => return Ok(Some((k, e))),
+                Err(e) => return Err(e),
+            }
         }
         let before = stats.stmt_instances;
-        for &(fi, fj) in group {
-            exec_body_at(spec, &body, &mut mem, fi, fj, n, m, &mut stats);
-        }
+        steps.exec(k, mem, stats);
         stats.barriers += 1;
-        meter.charge_iterations(stats.stmt_instances - before)?;
+        if let Some(meter) = meter.as_deref_mut() {
+            meter.charge_iterations(stats.stmt_instances - before)?;
+        }
     }
-    Ok(RunOutcome::Complete { mem, stats })
+    Ok(None)
 }
 
-/// Supervised fused execution: [`run_fused_ordered_budgeted`] driven
-/// barrier by barrier through [`supervise_run`] — per-row checkpoints,
-/// retry with deterministic backoff on recoverable failures, typed
-/// partial report once the ladder is exhausted. The interpreter is
-/// single-threaded, so the degradation ladder's thread step is a no-op
-/// here (the kernel supervisor exercises it for real).
-pub fn run_fused_supervised(
+/// An unmetered run of the whole schedule on fresh memory. Executability
+/// of `spec` is a documented precondition of the plain runs.
+fn run_plain(spec: &FusedSpec, schedule: Schedule<'_>, n: i64, m: i64) -> (Memory, ExecStats) {
+    #[allow(clippy::expect_used)]
+    let steps = Steps::new(spec, schedule, n, m)
+        .expect("fused spec has a (0,0)-dependence cycle: input was not executable");
+    // Guards keep every access within max_offset of [0,n]x[0,m], so the
+    // fused run uses the same allocation as the reference interpreter and
+    // the final memory images are directly comparable.
+    let mut mem = Memory::for_program(&spec.program, n, m, 0);
+    let mut stats = ExecStats::default();
+    // Without a meter the driver has no gate to stop or fail it.
+    let _ = drive(&steps, &mut mem, 0..steps.total(), &mut stats, None);
+    (mem, stats)
+}
+
+/// Runs the fused program row by row with the chosen inner order.
+///
+/// One barrier is charged per fused row — the synchronization saving the
+/// paper reports (Section 4.2's `7n` vs `n - 2` arithmetic comes from this
+/// model plus the unfused one in [`run_original`]).
+pub fn run_fused_ordered(spec: &FusedSpec, n: i64, m: i64, order: RowOrder) -> (Memory, ExecStats) {
+    run_plain(spec, Schedule::Rows(order), n, m)
+}
+
+/// [`run_fused_ordered`] with ascending rows.
+pub fn run_fused(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
+    run_plain(spec, Schedule::Rows(RowOrder::Ascending), n, m)
+}
+
+/// [`run_fused_ordered`] with descending rows (adversarial DOALL check).
+pub fn run_fused_desc(spec: &FusedSpec, n: i64, m: i64) -> (Memory, ExecStats) {
+    run_plain(spec, Schedule::Rows(RowOrder::Descending), n, m)
+}
+
+/// Runs the fused program in wavefront order: iterations grouped by
+/// `t = s · (I, J)`, groups ascending; one barrier per non-empty group.
+pub fn run_wavefront(
+    spec: &FusedSpec,
+    wavefront: Wavefront,
+    n: i64,
+    m: i64,
+) -> (Memory, ExecStats) {
+    run_plain(spec, Schedule::Wavefront(wavefront), n, m)
+}
+
+/// Runs a partial-fusion plan: within each fused row, the clusters execute
+/// in order with a barrier after each (so `clusters.len()` barriers per
+/// row); iterations within a cluster's row sweep are independent
+/// (row-DOALL per cluster).
+pub fn run_partitioned(
+    spec: &FusedSpec,
+    clusters: &[Vec<NodeId>],
+    n: i64,
+    m: i64,
+) -> (Memory, ExecStats) {
+    run_plain(spec, Schedule::Clusters(clusters), n, m)
+}
+
+/// Allocation under the budget and the `sim.alloc` fault site.
+fn alloc_budgeted(
     spec: &FusedSpec,
     n: i64,
     m: i64,
-    order: RowOrder,
     meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_fused(spec, n, m, order, meter, policy, None)
+) -> Result<Memory, MdfError> {
+    meter.chaos_site("sim.alloc")?;
+    Memory::for_program_budgeted(&spec.program, n, m, 0, meter)
 }
 
-/// Resumes [`run_fused_supervised`] from a prior checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_fused_supervised(
+/// Runs `schedule` under a resource budget: a typed error for
+/// non-executable specs, cells charged at allocation, the deadline
+/// re-checked and statement instances charged at every barrier. Deadline
+/// expiry at a barrier top returns [`RunOutcome::Partial`] with the
+/// completed barriers and a resumable [`Checkpoint`] instead of
+/// discarding them.
+///
+/// With `resume`, the run continues from a prior partial result instead
+/// of fresh memory: the checkpoint is verified against the image and the
+/// schedule first, nothing is allocated, and a completed resume is
+/// bit-identical to an uninterrupted run.
+pub fn run_budgeted(
     spec: &FusedSpec,
+    schedule: Schedule<'_>,
     n: i64,
     m: i64,
-    order: RowOrder,
-    mem: Memory,
-    checkpoint: Checkpoint,
     meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_fused(spec, n, m, order, meter, policy, Some((mem, checkpoint)))
+    resume: Option<(Memory, &Checkpoint)>,
+) -> Result<RunOutcome<Memory>, MdfError> {
+    let (mut mem, checkpoint) = match resume {
+        Some((mem, checkpoint)) => (mem, Some(checkpoint)),
+        None => (alloc_budgeted(spec, n, m, meter)?, None),
+    };
+    let steps = Steps::new(spec, schedule, n, m)?;
+    let total = steps.total();
+    let (start, mut stats) = match checkpoint {
+        Some(cp) => {
+            check_resume(&mem, cp, total)?;
+            (cp.completed_barriers, cp.stats)
+        }
+        None => (0, ExecStats::default()),
+    };
+    match drive(&steps, &mut mem, start..total, &mut stats, Some(meter))? {
+        None => Ok(RunOutcome::Complete { mem, stats }),
+        Some((completed, cause)) => Ok(RunOutcome::partial(mem, completed, stats, cause)),
+    }
 }
 
-fn supervise_fused(
+/// Supervised execution: `schedule` driven barrier by barrier through
+/// [`supervise_run`] — a checkpoint per barrier, retry with deterministic
+/// backoff on recoverable failures, typed partial report once the ladder
+/// is exhausted. The interpreter is single-threaded, so the degradation
+/// ladder's thread step is a no-op here (the kernel supervisor exercises
+/// it for real). With `resume`, the run continues from a prior checkpoint
+/// (digest- and range-verified).
+pub fn run_supervised(
     spec: &FusedSpec,
+    schedule: Schedule<'_>,
     n: i64,
     m: i64,
-    order: RowOrder,
     meter: &mut BudgetMeter,
     policy: &RetryPolicy,
     resume: Option<(Memory, Checkpoint)>,
 ) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let rows: Vec<i64> = (orange.lo..=orange.hi).collect();
+    let steps = Steps::new(spec, schedule, n, m)?;
     supervise_run(
-        rows.len() as u64,
+        steps.total(),
         1,
         policy,
         meter,
         resume,
         |meter| alloc_budgeted(spec, n, m, meter),
+        // Each chunk is a one-step drive: the same gate, step and charge
+        // as an uninterrupted run, with a deadline stop handed to the
+        // supervisor as the recoverable error it is.
         |mem, barrier, _threads, meter| {
-            meter.check_deadline()?;
-            meter.chaos_site("sim.barrier")?;
-            let fi = rows[barrier as usize];
             let mut stats = ExecStats::default();
-            match order {
-                RowOrder::Ascending => {
-                    for fj in irange.lo..=irange.hi {
-                        exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-                    }
-                }
-                RowOrder::Descending => {
-                    for fj in (irange.lo..=irange.hi).rev() {
-                        exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-                    }
-                }
+            match drive(&steps, mem, barrier..barrier + 1, &mut stats, Some(meter))? {
+                None => Ok(stats.stmt_instances),
+                Some((_, cause)) => Err(cause),
             }
-            meter.charge_iterations(stats.stmt_instances)?;
-            Ok(stats.stmt_instances)
-        },
-    )
-}
-
-/// Supervised wavefront execution — [`run_fused_supervised`]'s hyperplane
-/// counterpart, one checkpoint per wavefront group.
-pub fn run_wavefront_supervised(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_wavefront(spec, wavefront, n, m, meter, policy, None)
-}
-
-/// Resumes [`run_wavefront_supervised`] from a prior checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_wavefront_supervised(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: Checkpoint,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    supervise_wavefront(
-        spec,
-        wavefront,
-        n,
-        m,
-        meter,
-        policy,
-        Some((mem, checkpoint)),
-    )
-}
-
-fn supervise_wavefront(
-    spec: &FusedSpec,
-    wavefront: Wavefront,
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-    policy: &RetryPolicy,
-    resume: Option<(Memory, Checkpoint)>,
-) -> Result<SupervisedOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let groups = wavefront_buckets(spec, wavefront.schedule, n, m);
-    supervise_run(
-        groups.len() as u64,
-        1,
-        policy,
-        meter,
-        resume,
-        |meter| alloc_budgeted(spec, n, m, meter),
-        |mem, barrier, _threads, meter| {
-            meter.check_deadline()?;
-            meter.chaos_site("sim.barrier")?;
-            let mut stats = ExecStats::default();
-            for &(fi, fj) in &groups[barrier as usize] {
-                exec_body_at(spec, &body, mem, fi, fj, n, m, &mut stats);
-            }
-            meter.charge_iterations(stats.stmt_instances)?;
-            Ok(stats.stmt_instances)
         },
     )
 }
@@ -674,16 +553,29 @@ pub fn check_plan_budgeted(
 
     // A partial run cannot support a differential verdict, so the typed
     // cause propagates as abnormal termination here (`into_complete`).
-    let (fused_mem, fused_stats) =
-        run_fused_ordered_budgeted(&spec, n, m, RowOrder::Ascending, meter)?.into_complete()?;
+    let (fused_mem, fused_stats) = run_budgeted(
+        &spec,
+        Schedule::Rows(RowOrder::Ascending),
+        n,
+        m,
+        meter,
+        None,
+    )?
+    .into_complete()?;
     if fused_mem != reference {
         return Ok(Err(SimError::ResultMismatch { mode: "row-major" }));
     }
     let fused_barriers = match plan {
         FusionPlan::FullParallel { .. } => {
-            let (desc_mem, _) =
-                run_fused_ordered_budgeted(&spec, n, m, RowOrder::Descending, meter)?
-                    .into_complete()?;
+            let (desc_mem, _) = run_budgeted(
+                &spec,
+                Schedule::Rows(RowOrder::Descending),
+                n,
+                m,
+                meter,
+                None,
+            )?
+            .into_complete()?;
             if desc_mem != reference {
                 return Ok(Err(SimError::NotDoall));
             }
@@ -691,7 +583,8 @@ pub fn check_plan_budgeted(
         }
         FusionPlan::Hyperplane { wavefront, .. } => {
             let (wf_mem, wf_stats) =
-                run_wavefront_budgeted(&spec, *wavefront, n, m, meter)?.into_complete()?;
+                run_budgeted(&spec, Schedule::Wavefront(*wavefront), n, m, meter, None)?
+                    .into_complete()?;
             if wf_mem != reference {
                 return Ok(Err(SimError::ResultMismatch { mode: "wavefront" }));
             }
@@ -719,7 +612,8 @@ pub fn check_partial_budgeted(
     let (reference, ref_stats) = run_original_budgeted(program, n, m, meter)?;
     let spec = FusedSpec::new(program.clone(), plan.retiming.offsets().to_vec());
     let (part_mem, part_stats) =
-        run_partitioned_budgeted(&spec, &plan.clusters, n, m, meter)?.into_complete()?;
+        run_budgeted(&spec, Schedule::Clusters(&plan.clusters), n, m, meter, None)?
+            .into_complete()?;
     if part_mem != reference {
         return Ok(Err(SimError::ResultMismatch {
             mode: "partitioned",
@@ -886,145 +780,6 @@ mod tests {
     }
 }
 
-/// Runs a partial-fusion plan: within each fused row, the clusters execute
-/// in order with a barrier after each (so `clusters.len()` barriers per
-/// row); iterations within a cluster's row sweep are independent
-/// (row-DOALL per cluster).
-pub fn run_partitioned(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-) -> (Memory, ExecStats) {
-    // Executability of `spec` is a documented precondition of this API.
-    #[allow(clippy::expect_used)]
-    let body = spec
-        .body_order()
-        .expect("fused spec has a (0,0)-dependence cycle");
-    let mut mem = Memory::for_program(&spec.program, n, m, 0);
-    let mut stats = ExecStats::default();
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    for fi in orange.lo..=orange.hi {
-        for cluster in clusters {
-            // Members in global body order, restricted to this cluster.
-            let members: Vec<usize> = body
-                .iter()
-                .copied()
-                .filter(|li| cluster.iter().any(|n| n.index() == *li))
-                .collect();
-            for fj in irange.lo..=irange.hi {
-                for &li in &members {
-                    if !spec.node_active(li, fi, fj, n, m) {
-                        continue;
-                    }
-                    let r = spec.offsets[li];
-                    let (i, j) = (fi + r.x, fj + r.y);
-                    for s in &spec.program.loops[li].stmts {
-                        let v = eval_expr(&mem, &s.rhs, i, j);
-                        mem.write(&s.lhs, i, j, v);
-                        stats.stmt_instances += 1;
-                    }
-                }
-            }
-            stats.barriers += 1;
-        }
-    }
-    (mem, stats)
-}
-
-/// [`run_partitioned`] under a resource budget: the deadline is checked
-/// and the `sim.barrier` fault site consulted at every barrier (each
-/// cluster step of each fused row), and iterations are charged per
-/// cluster step. Deadline expiry at a barrier top returns
-/// [`RunOutcome::Partial`] with a resumable [`Checkpoint`].
-pub fn run_partitioned_budgeted(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let mem = alloc_budgeted(spec, n, m, meter)?;
-    partitioned_from(spec, clusters, n, m, mem, 0, ExecStats::default(), meter)
-}
-
-/// Resumes [`run_partitioned_budgeted`] from a prior partial result
-/// (digest-verified; the checkpoint counts cluster-step barriers).
-pub fn resume_partitioned_budgeted(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    mem: Memory,
-    checkpoint: &Checkpoint,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    check_resume(&mem, checkpoint)?;
-    partitioned_from(
-        spec,
-        clusters,
-        n,
-        m,
-        mem,
-        checkpoint.completed_barriers,
-        checkpoint.stats,
-        meter,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn partitioned_from(
-    spec: &FusedSpec,
-    clusters: &[Vec<mdf_graph::NodeId>],
-    n: i64,
-    m: i64,
-    mut mem: Memory,
-    start: u64,
-    mut stats: ExecStats,
-    meter: &mut BudgetMeter,
-) -> Result<RunOutcome<Memory>, MdfError> {
-    let body = body_order_typed(spec)?;
-    let orange = spec.outer_range(n);
-    let irange = spec.inner_range(m);
-    let mut barrier: u64 = 0;
-    for fi in orange.lo..=orange.hi {
-        for cluster in clusters {
-            let this = barrier;
-            barrier += 1;
-            if this < start {
-                continue;
-            }
-            if let Some(partial) = barrier_gate(meter, &mem, this, stats)? {
-                return Ok(partial);
-            }
-            let members: Vec<usize> = body
-                .iter()
-                .copied()
-                .filter(|li| cluster.iter().any(|n| n.index() == *li))
-                .collect();
-            let before = stats.stmt_instances;
-            for fj in irange.lo..=irange.hi {
-                for &li in &members {
-                    if !spec.node_active(li, fi, fj, n, m) {
-                        continue;
-                    }
-                    let r = spec.offsets[li];
-                    let (i, j) = (fi + r.x, fj + r.y);
-                    for s in &spec.program.loops[li].stmts {
-                        let v = eval_expr(&mem, &s.rhs, i, j);
-                        mem.write(&s.lhs, i, j, v);
-                        stats.stmt_instances += 1;
-                    }
-                }
-            }
-            stats.barriers += 1;
-            meter.charge_iterations(stats.stmt_instances - before)?;
-        }
-    }
-    Ok(RunOutcome::Complete { mem, stats })
-}
-
 #[cfg(test)]
 mod budgeted_tests {
     use super::*;
@@ -1090,7 +845,8 @@ mod budgeted_tests {
         let spec = FusedSpec::unretimed(p.clone());
         let mut meter = Budget::unlimited().meter();
         let (reference, _) = run_original(&p, 8, 8);
-        let (fused, _) = run_fused_ordered_budgeted(&spec, 8, 8, RowOrder::Ascending, &mut meter)
+        let rows = Schedule::Rows(RowOrder::Ascending);
+        let (fused, _) = run_budgeted(&spec, rows, 8, 8, &mut meter, None)
             .unwrap()
             .into_complete()
             .unwrap();

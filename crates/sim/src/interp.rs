@@ -4,6 +4,7 @@
 
 use mdf_graph::{BudgetMeter, MdfError};
 use mdf_ir::ast::{ArrayRef, Expr, Program};
+use mdf_trace::Span;
 
 use crate::array2::Array2;
 
@@ -97,6 +98,16 @@ pub struct ExecStats {
     pub barriers: u64,
     /// Statement instances executed.
     pub stmt_instances: u64,
+}
+
+impl ExecStats {
+    /// Reports an interpreter run's counters onto `span` as
+    /// `sim.barriers` / `sim.instances`. Called after the run, so tracing
+    /// never touches the execution itself.
+    pub fn report(&self, span: &Span) {
+        span.add("sim.barriers", self.barriers);
+        span.add("sim.instances", self.stmt_instances);
+    }
 }
 
 /// Runs the program with the original (unfused) semantics over

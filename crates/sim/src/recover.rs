@@ -138,13 +138,27 @@ pub fn deadline_expired(e: &MdfError) -> bool {
     )
 }
 
-/// Validates a resume request: the checkpoint's digest must match the
-/// presented image.
-pub fn check_resume<M: Snapshot>(mem: &M, checkpoint: &Checkpoint) -> Result<(), MdfError> {
+/// Validates a resume request against a schedule of `total` barriers: the
+/// checkpoint's digest must match the presented image, and its position
+/// must lie within the schedule. A checkpoint past the end (say, a
+/// wavefront partial presented to a row schedule over the same layout,
+/// whose digest matches) would otherwise resume over an empty range and
+/// report a half-computed image as complete.
+pub fn check_resume<M: Snapshot>(
+    mem: &M,
+    checkpoint: &Checkpoint,
+    total: u64,
+) -> Result<(), MdfError> {
     if mem.digest() != checkpoint.snapshot_hash {
         return Err(MdfError::invalid(
             "resume checkpoint does not match the presented memory image",
         ));
+    }
+    if checkpoint.completed_barriers > total {
+        return Err(MdfError::invalid(format!(
+            "resume checkpoint is past the end of the schedule ({} of {total} barriers)",
+            checkpoint.completed_barriers
+        )));
     }
     Ok(())
 }
@@ -310,7 +324,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   returns its statement-instance count. It must only commit writes for
 ///   its own barrier — on failure the image is restored from the last
 ///   snapshot, so partial writes are discarded wholesale.
-/// * `resume` continues from a prior [`Checkpoint`] (digest-verified).
+/// * `resume` continues from a prior [`Checkpoint`] (verified by
+///   [`check_resume`]).
 ///
 /// Counters in the returned outcome reflect committed barriers only;
 /// retried work is restored, re-run, and counted once.
@@ -331,7 +346,7 @@ where
     let mut recovery = RecoveryStats::default();
     let (mut mem, start, mut stats) = match resume {
         Some((mem, checkpoint)) => {
-            check_resume(&mem, &checkpoint)?;
+            check_resume(&mem, &checkpoint, total)?;
             recovery.resumes += 1;
             (mem, checkpoint.completed_barriers, checkpoint.stats)
         }

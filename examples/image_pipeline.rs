@@ -8,6 +8,7 @@
 //! ```
 
 use mdfusion::baselines::{direct_fusion, shift_and_peel, DirectPolicy, Partition};
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{ir, sim};
 
@@ -77,9 +78,13 @@ fn main() {
         );
     }
 
-    // And prove the DOALL certificate on real threads.
-    let (par, _) = sim::run_fused_rayon(&spec, n, m);
-    let (reference, _) = run_original(&program, n, m);
-    assert_eq!(par, reference);
-    println!("\nrayon execution matches the original bit for bit");
+    // And prove the DOALL certificate on real threads: the compiled
+    // kernel, in the mode the race certificate licenses, on 4 workers.
+    // Rows 1024 columns wide split into column tiles the workers share.
+    let wide = 1024;
+    let kernel = CompiledKernel::compile(&spec, n, wide).unwrap();
+    let (par, _) = kernel.run_with_threads(plan_mode(&spec, &plan), 4);
+    let (reference, _) = run_original(&program, n, wide);
+    assert_eq!(par.fingerprint(), reference.fingerprint());
+    println!("\nkernel execution on 4 workers matches the original bit for bit");
 }

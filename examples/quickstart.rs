@@ -8,6 +8,7 @@
 //! plans a retiming with the paper's algorithms, prints the fused code,
 //! and validates the transformation by executing both versions.
 
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{core, ir, sim};
 
@@ -54,11 +55,19 @@ fn main() {
         sim_report.original_barriers as f64 / sim_report.fused_barriers as f64
     );
 
-    // 5. Run the certified-DOALL fused loop on real threads.
-    let (par_mem, _) = sim::run_fused_rayon(&spec, n, m);
-    let (ref_mem, _) = run_original(&program, n, m);
-    assert_eq!(par_mem, ref_mem, "Rayon execution matches the original");
-    println!("rayon execution: results identical to the sequential original");
+    // 5. Run the certified-DOALL fused loop on real threads: the compiled
+    //    kernel, in the mode the race certificate licenses, on 4 workers.
+    //    Rows 1024 columns wide split into column tiles the workers share.
+    let wide = 1024;
+    let kernel = CompiledKernel::compile(&spec, n, wide).expect("the fused spec lowers");
+    let (par_mem, _) = kernel.run_with_threads(plan_mode(&spec, &plan), 4);
+    let (ref_mem, _) = run_original(&program, n, wide);
+    assert_eq!(
+        par_mem.fingerprint(),
+        ref_mem.fingerprint(),
+        "kernel execution matches the original"
+    );
+    println!("kernel execution on 4 workers: results identical to the sequential original");
 
     // 6. Predicted makespans under the machine model.
     let mp = MachineParams::default();

@@ -6,6 +6,7 @@
 //! cargo run --example stencil_wavefront
 //! ```
 
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::{ir, sim};
 
@@ -57,10 +58,12 @@ fn main() {
     assert!(sim::check_rows_doall(&spec, n, m).is_err());
     println!("dynamic check: hyperplanes conflict-free; rows are not (as predicted)");
 
-    // Real threads along hyperplanes.
-    let (par, _) = sim::run_wavefront_rayon(&spec, w, n, m);
-    assert_eq!(par, reference);
-    println!("rayon wavefront execution matches the original");
+    // Real threads along hyperplanes: the compiled kernel, in the mode the
+    // race and elision certificates license, on 4 workers.
+    let kernel = CompiledKernel::compile(&spec, n, m).unwrap();
+    let (par, _) = kernel.run_with_threads(plan_mode(&spec, &plan), 4);
+    assert_eq!(par.fingerprint(), reference.fingerprint());
+    println!("kernel wavefront execution on 4 workers matches the original");
 
     // Hyperplane width statistics (how much parallelism each step exposes).
     let mp = MachineParams::default();

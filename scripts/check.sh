@@ -21,6 +21,13 @@ cargo test -q --workspace
 echo "==> perfbench tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# These examples assert that the kernel on real threads reproduces the
+# original program bit for bit; clippy only compiles them.
+echo "==> examples (kernel == original)"
+cargo run -q --release --example quickstart >/dev/null
+cargo run -q --release --example image_pipeline >/dev/null
+cargo run -q --release --example stencil_wavefront >/dev/null
+
 echo "==> fuzz smoke (50 cases)"
 ./target/release/mdfuse fuzz --cases 50 --seed 1
 

@@ -17,9 +17,9 @@
 //! | [`retime`] | `mdf-retime` | retiming functions, `G -> G_r`, schedules/hyperplanes |
 //! | [`core`] | `mdf-core` | LLOFRA (Alg 2), Alg 3/4/5, the planner, n-dim extension |
 //! | [`ir`] | `mdf-ir` | loop-nest DSL, dependence analysis, fused code generation |
-//! | [`sim`] | `mdf-sim` | interpreter, plan checking, DOALL checker, cost model, Rayon runner |
+//! | [`sim`] | `mdf-sim` | sequential interpreter (the oracle), plan checking, checkpoint/resume, DOALL checker, cost model |
 //! | [`analysis`] | `mdf-analyze` | static race certifier, certificate checker, DSL lints |
-//! | [`kernel`] | `mdf-kernel` | compiled execution engine: bytecode lowering, tiled in-place steps |
+//! | [`kernel`] | `mdf-kernel` | compiled execution engine, the one parallel engine: bytecode lowering, tiled in-place steps |
 //! | [`trace`] | `mdf-trace` | structured tracing: span trees, phase counters, profile emission |
 //! | [`chaos`] | `mdf-chaos` | deterministic fault injection: seeded fault plans, named sites |
 //! | [`service`] | `mdf-service` | `mdfused` daemon: wire protocol, admission control, plan cache |

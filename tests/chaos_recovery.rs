@@ -11,15 +11,18 @@
 //! without help, and report what recovery did.
 
 use mdfusion::chaos::{FaultKind, FaultPlan};
+use mdfusion::core::fuse_partial;
 use mdfusion::core::{plan_fusion, Budget, FusionPlan};
 use mdfusion::gen::{executable_suite, random_program, ProgramGenConfig};
+use mdfusion::graph::MdfError;
 use mdfusion::ir::extract::extract_mldg;
+use mdfusion::ir::samples::relaxation_program;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, CompiledKernel, ExecMode};
 use mdfusion::sim::{
-    resume_fused_ordered_budgeted, resume_wavefront_budgeted, run_fused_ordered,
-    run_fused_ordered_budgeted, run_wavefront, run_wavefront_budgeted, RetryPolicy, RowOrder,
-    RunOutcome, SupervisedOutcome,
+    align_partial_to_program, run_budgeted, run_fused_ordered, run_partitioned, run_supervised,
+    run_wavefront, ExecStats, Memory, RetryPolicy, RowOrder, RunOutcome, Schedule,
+    SupervisedOutcome,
 };
 use proptest::prelude::*;
 
@@ -46,7 +49,7 @@ fn kernel_interrupt_resume(kernel: &CompiledKernel, mode: ExecMode, b: u64, name
     let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
     let mut meter = Budget::unlimited().with_chaos().meter();
     let out = kernel
-        .run_budgeted(mode, &mut meter)
+        .run_budgeted(mode, &mut meter, None)
         .expect("injected deadline is a partial result, not an error");
     let RunOutcome::Partial {
         mem, checkpoint, ..
@@ -60,7 +63,7 @@ fn kernel_interrupt_resume(kernel: &CompiledKernel, mode: ExecMode, b: u64, name
 
     let mut clean = Budget::unlimited().meter();
     let (rmem, rstats) = kernel
-        .resume_budgeted(mode, mem, checkpoint, &mut clean)
+        .run_budgeted(mode, &mut clean, Some((mem, checkpoint)))
         .expect("resume plans within budget")
         .into_complete()
         .expect("clean resume runs to completion");
@@ -91,6 +94,48 @@ fn kernel_interrupted_at_every_barrier_resumes_bit_identically() {
     }
 }
 
+/// Interrupt the interpreter with an injected deadline at every barrier
+/// of `schedule`, resume each partial result from its checkpoint, and
+/// demand bit-identity with the uninterrupted plain run `want`.
+fn interp_interrupt_resume_everywhere(
+    spec: &FusedSpec,
+    schedule: Schedule<'_>,
+    (want_mem, want_stats): (Memory, ExecStats),
+    name: &str,
+) {
+    assert!(
+        want_stats.barriers > 1,
+        "{name}: needs at least two barriers"
+    );
+    for b in 1..=want_stats.barriers {
+        let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, b).arm();
+        let mut meter = Budget::unlimited().with_chaos().meter();
+        let out = run_budgeted(spec, schedule, N, M, &mut meter, None)
+            .expect("injected deadline is a partial result, not an error");
+        let RunOutcome::Partial {
+            mem, checkpoint, ..
+        } = out
+        else {
+            panic!("{name}: deadline at barrier {b} must stop the run");
+        };
+        assert_eq!(checkpoint.completed_barriers, b - 1, "{name}");
+        drop(guard);
+
+        let mut clean = Budget::unlimited().meter();
+        let (rmem, rstats) =
+            run_budgeted(spec, schedule, N, M, &mut clean, Some((mem, &checkpoint)))
+                .expect("resume runs within budget")
+                .into_complete()
+                .expect("clean resume runs to completion");
+        assert_eq!(
+            rmem.fingerprint(),
+            want_mem.fingerprint(),
+            "{name}: interpreter resumed fingerprint (barrier {b})"
+        );
+        assert_eq!(rstats, want_stats, "{name}: interpreter counters");
+    }
+}
+
 #[test]
 fn interpreter_interrupted_at_every_barrier_resumes_bit_identically() {
     for entry in executable_suite() {
@@ -98,57 +143,140 @@ fn interpreter_interrupted_at_every_barrier_resumes_bit_identically() {
         let Some((spec, plan, _, _)) = artifacts(&p) else {
             continue;
         };
-        let (want_mem, want_stats) = match &plan {
+        let want = match &plan {
             FusionPlan::FullParallel { .. } => run_fused_ordered(&spec, N, M, RowOrder::Ascending),
             FusionPlan::Hyperplane { wavefront, .. } => run_wavefront(&spec, *wavefront, N, M),
         };
-        for b in 1..=want_stats.barriers {
-            let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, b).arm();
-            let mut meter = Budget::unlimited().with_chaos().meter();
-            let out = match &plan {
-                FusionPlan::FullParallel { .. } => {
-                    run_fused_ordered_budgeted(&spec, N, M, RowOrder::Ascending, &mut meter)
-                }
-                FusionPlan::Hyperplane { wavefront, .. } => {
-                    run_wavefront_budgeted(&spec, *wavefront, N, M, &mut meter)
-                }
-            }
-            .expect("injected deadline is a partial result, not an error");
-            let RunOutcome::Partial {
-                mem, checkpoint, ..
-            } = out
-            else {
-                panic!("{}: deadline at barrier {b} must stop the run", entry.id);
-            };
-            assert_eq!(checkpoint.completed_barriers, b - 1, "{}", entry.id);
-            drop(guard);
+        interp_interrupt_resume_everywhere(&spec, Schedule::for_plan(&plan), want, entry.id);
+    }
 
-            let mut clean = Budget::unlimited().meter();
-            let (rmem, rstats) = match &plan {
-                FusionPlan::FullParallel { .. } => resume_fused_ordered_budgeted(
-                    &spec,
-                    N,
-                    M,
-                    RowOrder::Ascending,
-                    mem,
-                    &checkpoint,
-                    &mut clean,
-                ),
-                FusionPlan::Hyperplane { wavefront, .. } => {
-                    resume_wavefront_budgeted(&spec, *wavefront, N, M, mem, &checkpoint, &mut clean)
-                }
-            }
-            .expect("resume runs within budget")
-            .into_complete()
-            .expect("clean resume runs to completion");
-            assert_eq!(
-                rmem.fingerprint(),
-                want_mem.fingerprint(),
-                "{}: interpreter resumed fingerprint (barrier {b})",
-                entry.id
-            );
-            assert_eq!(rstats, want_stats, "{}: interpreter counters", entry.id);
-        }
+    // The cluster schedule of a partial-fusion plan: relaxation splits
+    // into two row-DOALL clusters, two barriers per fused row.
+    let p = relaxation_program();
+    let graph = extract_mldg(&p).expect("relaxation extracts").graph;
+    let plan = fuse_partial(&graph).expect("a 2-cluster solution exists");
+    let plan = align_partial_to_program(&graph, &p, &plan).expect("relaxation aligns");
+    assert_eq!(plan.clusters.len(), 2);
+    let spec = FusedSpec::new(p, plan.retiming.offsets().to_vec());
+    let want = run_partitioned(&spec, &plan.clusters, N, M);
+    let clusters = Schedule::Clusters(&plan.clusters);
+    interp_interrupt_resume_everywhere(&spec, clusters, want, "relaxation-partial");
+}
+
+/// A checkpoint past the end of the schedule it is presented to — here a
+/// late wavefront partial resumed as rows over the same memory layout,
+/// whose digest matches — must be refused, not reported `Complete` over
+/// an empty range with a half-computed image.
+#[test]
+fn interpreter_resume_past_the_end_of_the_schedule_is_rejected() {
+    let entry = executable_suite()
+        .into_iter()
+        .find(|e| e.id == "E5")
+        .expect("E5 is executable");
+    let p = entry.program.expect("executable suite has programs");
+    let (spec, plan, _, _) = artifacts(&p).expect("E5 plans");
+    let wavefront = Schedule::for_plan(&plan);
+    let rows = Schedule::Rows(RowOrder::Ascending);
+    let rows_total = run_fused_ordered(&spec, N, M, RowOrder::Ascending)
+        .1
+        .barriers;
+
+    let last = run_wavefront(
+        &spec,
+        plan.wavefront().expect("E5 is a wavefront plan"),
+        N,
+        M,
+    )
+    .1
+    .barriers;
+    assert!(last > rows_total + 1, "E5's wavefront outlasts its rows");
+    let guard = FaultPlan::single("sim.barrier", FaultKind::DeadlineExpiry, last).arm();
+    let mut meter = Budget::unlimited().with_chaos().meter();
+    let RunOutcome::Partial {
+        mem, checkpoint, ..
+    } = run_budgeted(&spec, wavefront, N, M, &mut meter, None).expect("partial result")
+    else {
+        panic!("deadline at the last barrier must stop the run");
+    };
+    drop(guard);
+    assert!(checkpoint.completed_barriers > rows_total);
+
+    let mut clean = Budget::unlimited().meter();
+    let resumed = run_budgeted(
+        &spec,
+        rows,
+        N,
+        M,
+        &mut clean,
+        Some((mem.clone(), &checkpoint)),
+    );
+    assert!(
+        matches!(resumed, Err(MdfError::Invalid { .. })),
+        "budgeted: {resumed:?}"
+    );
+    let policy = RetryPolicy::deterministic();
+    let supervised = run_supervised(
+        &spec,
+        rows,
+        N,
+        M,
+        &mut clean,
+        &policy,
+        Some((mem, checkpoint)),
+    );
+    assert!(
+        matches!(supervised, Err(MdfError::Invalid { .. })),
+        "supervised: {supervised:?}"
+    );
+}
+
+/// [`interpreter_resume_past_the_end_of_the_schedule_is_rejected`] on the
+/// kernel: a late wavefront-group partial presented to the row modes.
+#[test]
+fn kernel_resume_past_the_end_of_the_schedule_is_rejected() {
+    let entry = executable_suite()
+        .into_iter()
+        .find(|e| e.id == "E5")
+        .expect("E5 is executable");
+    let p = entry.program.expect("executable suite has programs");
+    let (_, plan, _, kernel) = artifacts(&p).expect("E5 plans");
+    let schedule = plan.wavefront().expect("E5 is a wavefront plan").schedule;
+    // The untiled group drive: one barrier per hyperplane group.
+    let groups = ExecMode::Wavefront {
+        schedule,
+        certified: false,
+        elide: false,
+    };
+    let rows_total = kernel.barrier_count(ExecMode::RowsSerial);
+    let last = kernel.barrier_count(groups);
+    assert!(last > rows_total + 1, "E5's wavefront outlasts its rows");
+    let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, last).arm();
+    let mut meter = Budget::unlimited().with_chaos().meter();
+    let RunOutcome::Partial {
+        mem, checkpoint, ..
+    } = kernel
+        .run_budgeted(groups, &mut meter, None)
+        .expect("partial result")
+    else {
+        panic!("deadline at the last barrier must stop the run");
+    };
+    drop(guard);
+    assert!(checkpoint.completed_barriers > rows_total);
+
+    let mut clean = Budget::unlimited().meter();
+    let policy = RetryPolicy::deterministic();
+    for rows in [ExecMode::RowsSerial, ExecMode::RowsCertified] {
+        let resumed = kernel.run_budgeted(rows, &mut clean, Some((mem.clone(), checkpoint)));
+        assert!(
+            matches!(resumed, Err(MdfError::Invalid { .. })),
+            "budgeted {rows:?}: {resumed:?}"
+        );
+        let resume = Some((mem.clone(), checkpoint));
+        let supervised = kernel.run_supervised(rows, 2, &policy, &mut clean, resume);
+        assert!(
+            matches!(supervised, Err(MdfError::Invalid { .. })),
+            "supervised {rows:?}: {supervised:?}"
+        );
     }
 }
 
@@ -169,7 +297,7 @@ fn supervisor_absorbs_worker_panics_at_every_barrier() {
                 let guard = FaultPlan::single("kernel.barrier", FaultKind::WorkerPanic, b).arm();
                 let mut meter = Budget::unlimited().with_chaos().meter();
                 let out = kernel
-                    .run_supervised(mode, threads, &policy, &mut meter)
+                    .run_supervised(mode, threads, &policy, &mut meter, None)
                     .expect("supervised run does not surface recoverable faults");
                 assert_eq!(guard.injected(), 1, "{}", entry.id);
                 drop(guard);
@@ -250,7 +378,7 @@ fn tiled_wavefront_recovers_at_every_wave_boundary() {
         let guard = FaultPlan::single("kernel.barrier", FaultKind::WorkerPanic, b).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
         let out = kernel
-            .run_supervised(mode, 4, &policy, &mut meter)
+            .run_supervised(mode, 4, &policy, &mut meter, None)
             .expect("supervised run does not surface recoverable faults");
         assert_eq!(guard.injected(), 1);
         drop(guard);

@@ -5,6 +5,7 @@
 use mdfusion::baselines::{direct_fusion, shift_and_peel, DirectPolicy, Partition};
 use mdfusion::core::FullParallelMethod;
 use mdfusion::gen::suite;
+use mdfusion::kernel::{plan_mode, CompiledKernel};
 use mdfusion::prelude::*;
 use mdfusion::sim;
 
@@ -140,20 +141,29 @@ fn dynamic_doall_checks_match_static_claims() {
     }
 }
 
+/// The plan's certified kernel, run at 1 and 4 workers, must reproduce the
+/// original program's memory image bit for bit.
+fn assert_kernel_matches_original(name: &str, p: &Program, plan: &FusionPlan, n: i64, m: i64) {
+    let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
+    let mode = plan_mode(&spec, plan);
+    let kernel = CompiledKernel::compile(&spec, n, m).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (reference, _) = run_original(p, n, m);
+    for threads in [1, 4] {
+        let (par, _) = kernel.run_with_threads(mode, threads);
+        assert_eq!(
+            par.fingerprint(),
+            reference.fingerprint(),
+            "{name}: {mode:?} at {threads} workers"
+        );
+    }
+}
+
 #[test]
-fn rayon_execution_matches_for_all_runnable_entries() {
+fn kernel_execution_matches_for_all_runnable_entries() {
     for entry in suite() {
         let Some(p) = &entry.program else { continue };
         let plan = plan_fusion(&entry.graph).unwrap();
-        let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
-        let (reference, _) = run_original(p, 20, 20);
-        let (par, _) = match &plan {
-            FusionPlan::FullParallel { .. } => sim::run_fused_rayon(&spec, 20, 20),
-            FusionPlan::Hyperplane { wavefront, .. } => {
-                sim::run_wavefront_rayon(&spec, *wavefront, 20, 20)
-            }
-        };
-        assert_eq!(par, reference, "{}", entry.id);
+        assert_kernel_matches_original(entry.id, p, &plan, 20, 20);
     }
 }
 
@@ -207,15 +217,7 @@ fn extended_kernels_plan_and_verify_end_to_end() {
             ("conv_chain", _) => {}
             other => panic!("unexpected plan for {other:?}"),
         }
-        // Rayon execution for whichever model the plan certifies.
-        let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
-        let (reference, _) = run_original(&p, 20, 20);
-        let (par, _) = match &plan {
-            FusionPlan::FullParallel { .. } => mdfusion::sim::run_fused_rayon(&spec, 20, 20),
-            FusionPlan::Hyperplane { wavefront, .. } => {
-                mdfusion::sim::run_wavefront_rayon(&spec, *wavefront, 20, 20)
-            }
-        };
-        assert_eq!(par, reference, "{name}");
+        // Kernel execution for whichever model the plan certifies.
+        assert_kernel_matches_original(name, &p, &plan, 20, 20);
     }
 }

@@ -94,7 +94,8 @@ fn shares_work(kernel: &CompiledKernel, mode: ExecMode) -> bool {
     }
     let sink = std::sync::Arc::new(MemorySink::new());
     let span = Tracer::new(sink.clone()).span("execute");
-    kernel.run_with_threads_traced(mode, 2, &span);
+    let (_, stats) = kernel.run_with_threads(mode, 2);
+    kernel.report_exec(mode, 2, &stats, &span);
     span.finish();
     sink.profile()
         .expect("trace parses")
@@ -149,7 +150,7 @@ fn deadline_stops_resume() {
         for b in 1..=total {
             let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
             let mut meter = Budget::unlimited().with_chaos().meter();
-            let out = rayon::with_workers(2, || kernel.run_budgeted(mode, &mut meter))
+            let out = rayon::with_workers(2, || kernel.run_budgeted(mode, &mut meter, None))
                 .expect("a deadline is a partial result, not an error");
             assert_eq!(guard.injected(), 1, "{}", p.name);
             drop(guard);
@@ -163,7 +164,7 @@ fn deadline_stops_resume() {
             assert_eq!(checkpoint.stats.barriers, b - 1, "{}", p.name);
             let mut clean = Budget::unlimited().meter();
             let (mem, stats) = rayon::with_workers(2, || {
-                kernel.resume_budgeted(mode, mem, checkpoint, &mut clean)
+                kernel.run_budgeted(mode, &mut clean, Some((mem, checkpoint)))
             })
             .expect("resume runs within budget")
             .into_complete()
@@ -229,7 +230,7 @@ fn an_injected_lead_panic_reaches_the_caller_at_every_site() {
                 let k = kernel.clone();
                 must_panic(&format!("{name} {site} #{b}"), move || {
                     let mut meter = Budget::unlimited().with_chaos().meter();
-                    let _ = rayon::with_workers(2, || k.run_budgeted(mode, &mut meter));
+                    let _ = rayon::with_workers(2, || k.run_budgeted(mode, &mut meter, None));
                 });
                 assert_eq!(guard.injected(), 1, "{name} {site} #{b}");
             }

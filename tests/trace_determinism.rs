@@ -1,12 +1,13 @@
 //! Profiling must not perturb: the observability layer's core invariant.
 //!
 //! Every traced entry point (`plan_fusion_traced`, `plan_mode_traced`,
-//! `CompiledKernel::{compile,run_*}_traced`, the `mdf-sim` traced
-//! wrappers) must produce **bit-identical** results to its untraced
-//! twin — same plan report, same execution mode, same memory
-//! fingerprints, same barrier and statement-instance accounting — for
-//! every generator suite and DSL example, in the planned mode, with a
-//! forced multi-worker policy, and in the serial fallback.
+//! `CompiledKernel::compile_traced`) must produce **bit-identical**
+//! results to its untraced twin — same plan report, same execution mode,
+//! same memory fingerprints, same barrier and statement-instance
+//! accounting — and every post-run report (`CompiledKernel::report_exec`,
+//! `ExecStats::report`) must mirror the run's counters exactly, for every
+//! generator suite and DSL example, in the planned mode, with a forced
+//! multi-worker policy, and in the serial fallback.
 //!
 //! A second invariant rides along: single-threaded traced runs are
 //! *reproducible* — two identical invocations yield identical counter
@@ -21,8 +22,8 @@ use mdfusion::ir::extract::extract_mldg;
 use mdfusion::ir::{FusedSpec, Program};
 use mdfusion::kernel::{plan_mode, plan_mode_traced, CompiledKernel, ExecMode};
 use mdfusion::sim::{
-    align_plan_to_program, run_fused_ordered, run_fused_ordered_traced, run_original,
-    run_original_traced, run_wavefront, run_wavefront_traced, RowOrder,
+    align_plan_to_program, run_budgeted, run_fused_ordered, run_original, run_original_budgeted,
+    run_wavefront, RowOrder, Schedule,
 };
 use mdfusion::trace::{MemorySink, Profile, Span, Tracer};
 use proptest::prelude::*;
@@ -105,8 +106,11 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
         ("serial fallback", 1, ExecMode::RowsSerial),
     ] {
         let (mem, stats) = kernel.run_with_threads(run_mode, threads);
-        let ((tmem, tstats), profile) =
-            traced(|s| traced_kernel.run_with_threads_traced(run_mode, threads, s));
+        let ((tmem, tstats), profile) = traced(|s| {
+            let out = traced_kernel.run_with_threads(run_mode, threads);
+            traced_kernel.report_exec(run_mode, threads, &out.1, s);
+            out
+        });
         assert_eq!(
             mem.fingerprint(),
             tmem.fingerprint(),
@@ -138,10 +142,14 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
         );
     }
 
-    // Stage 5: the interpreters. Original + fused/wavefront.
+    // Stage 5: the interpreters. Original + fused/wavefront, the budgeted
+    // runs reported after the fact against the plain ones.
     let (omem, ostats) = run_original(p, n, m);
-    let ((tomem, tostats), _) =
-        traced(|s| run_original_traced(p, n, m, &mut budget.meter(), s).expect("unbudgeted"));
+    let ((tomem, tostats), profile) = traced(|s| {
+        let out = run_original_budgeted(p, n, m, &mut budget.meter()).expect("unbudgeted");
+        out.1.report(s);
+        out
+    });
     assert_eq!(
         omem.fingerprint(),
         tomem.fingerprint(),
@@ -149,41 +157,37 @@ fn assert_tracing_is_invisible(p: &Program, n: i64, m: i64) -> bool {
         p.name
     );
     assert_eq!(ostats.stmt_instances, tostats.stmt_instances, "{}", p.name);
+    assert_eq!(profile.counter_total("sim.barriers"), ostats.barriers);
+    assert_eq!(
+        profile.counter_total("sim.instances"),
+        ostats.stmt_instances
+    );
 
-    match &plan {
-        FusionPlan::FullParallel { .. } => {
-            let (imem, istats) = run_fused_ordered(&spec, n, m, RowOrder::Ascending);
-            let ((tmem, tstats), _) = traced(|s| {
-                run_fused_ordered_traced(&spec, n, m, RowOrder::Ascending, &mut budget.meter(), s)
-                    .expect("unbudgeted")
-                    .into_complete()
-                    .expect("unlimited budget cannot stop early")
-            });
-            assert_eq!(
-                imem.fingerprint(),
-                tmem.fingerprint(),
-                "{}: run_fused",
-                p.name
-            );
-            assert_eq!(istats.barriers, tstats.barriers, "{}", p.name);
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            let (imem, istats) = run_wavefront(&spec, *wavefront, n, m);
-            let ((tmem, tstats), _) = traced(|s| {
-                run_wavefront_traced(&spec, *wavefront, n, m, &mut budget.meter(), s)
-                    .expect("unbudgeted")
-                    .into_complete()
-                    .expect("unlimited budget cannot stop early")
-            });
-            assert_eq!(
-                imem.fingerprint(),
-                tmem.fingerprint(),
-                "{}: run_wavefront",
-                p.name
-            );
-            assert_eq!(istats.barriers, tstats.barriers, "{}", p.name);
-        }
-    }
+    let (imem, istats) = match &plan {
+        FusionPlan::FullParallel { .. } => run_fused_ordered(&spec, n, m, RowOrder::Ascending),
+        FusionPlan::Hyperplane { wavefront, .. } => run_wavefront(&spec, *wavefront, n, m),
+    };
+    let ((tmem, tstats), profile) = traced(|s| {
+        let schedule = Schedule::for_plan(&plan);
+        let out = run_budgeted(&spec, schedule, n, m, &mut budget.meter(), None)
+            .expect("unbudgeted")
+            .into_complete()
+            .expect("unlimited budget cannot stop early");
+        out.1.report(s);
+        out
+    });
+    assert_eq!(
+        imem.fingerprint(),
+        tmem.fingerprint(),
+        "{}: fused interpreter",
+        p.name
+    );
+    assert_eq!(istats, tstats, "{}", p.name);
+    assert_eq!(profile.counter_total("sim.barriers"), istats.barriers);
+    assert_eq!(
+        profile.counter_total("sim.instances"),
+        istats.stmt_instances
+    );
     true
 }
 
@@ -202,7 +206,8 @@ fn assert_trace_is_reproducible(p: &Program, n: i64, m: i64) {
             let spec = FusedSpec::new(p.clone(), plan.retiming().offsets().to_vec());
             let mode = plan_mode_traced(&spec, &plan, s);
             let k = CompiledKernel::compile_traced(&spec, n, m, s).expect("planned specs compile");
-            let _ = k.run_with_threads_traced(mode, 1, s);
+            let (_, stats) = k.run_with_threads(mode, 1);
+            k.report_exec(mode, 1, &stats, s);
         })
         .1
     };

@@ -75,7 +75,8 @@ fn pipeline_profile(p: mdfusion::ir::Program, n: i64, m: i64) -> Profile {
     lower.finish();
 
     let exec = root.child("execute");
-    let _ = kernel.run_with_threads_traced(mode, 1, &exec);
+    let (_, stats) = kernel.run_with_threads(mode, 1);
+    kernel.report_exec(mode, 1, &stats, &exec);
     exec.finish();
 
     root.finish();

@@ -167,7 +167,7 @@ fn assert_tiled_agrees(p: &Program, n: i64, m: i64) -> bool {
     // The budgeted driver (the service path) agrees too.
     let mut meter = Budget::unlimited().meter();
     let (bmem, bstats) = kernel
-        .run_budgeted(mode, &mut meter)
+        .run_budgeted(mode, &mut meter, None)
         .expect("unlimited budget cannot trip")
         .into_complete()
         .expect("unlimited budget runs to completion");
@@ -180,7 +180,7 @@ fn assert_tiled_agrees(p: &Program, n: i64, m: i64) -> bool {
     let policy = RetryPolicy::deterministic();
     let mut meter = Budget::unlimited().meter();
     let out = kernel
-        .run_supervised(mode, 4, &policy, &mut meter)
+        .run_supervised(mode, 4, &policy, &mut meter, None)
         .expect("supervised run without faults cannot fail");
     let SupervisedOutcome::Complete { mem, recovery, .. } = out else {
         panic!("{}: fault-free supervised run must complete", p.name);
@@ -308,7 +308,8 @@ fn traced_counters_match_the_tile_plan() {
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::new(sink.clone());
         let span = tracer.span("tiled-run");
-        let (_, stats) = kernel.run_with_threads_traced(mode, threads, &span);
+        let (_, stats) = kernel.run_with_threads(mode, threads);
+        kernel.report_exec(mode, threads, &stats, &span);
         span.finish();
         let profile = sink.profile().expect("one finished span");
         assert_eq!(profile.counter_total("kernel.barriers"), stats.barriers);
@@ -398,7 +399,7 @@ fn tiled_runs_interrupted_at_every_wave_resume_bit_identically() {
         let guard = FaultPlan::single("kernel.barrier", FaultKind::DeadlineExpiry, b).arm();
         let mut meter = Budget::unlimited().with_chaos().meter();
         let out = kernel
-            .run_budgeted(mode, &mut meter)
+            .run_budgeted(mode, &mut meter, None)
             .expect("injected deadline is a partial result, not an error");
         let RunOutcome::Partial {
             mem, checkpoint, ..
@@ -412,7 +413,7 @@ fn tiled_runs_interrupted_at_every_wave_resume_bit_identically() {
 
         let mut clean = Budget::unlimited().meter();
         let (rmem, rstats) = kernel
-            .resume_budgeted(mode, mem, checkpoint, &mut clean)
+            .run_budgeted(mode, &mut clean, Some((mem, checkpoint)))
             .expect("resume plans within budget")
             .into_complete()
             .expect("clean resume runs to completion");
