@@ -1,16 +1,16 @@
 //! # `mdf-bench` — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (and the
-//! extended experiments described in DESIGN.md §4). Two kinds of targets:
-//!
-//! * **table/figure binaries** (`src/bin/`): deterministic programs that
-//!   print the rows/series each experiment reports —
-//!   `fig2_worked`, `fig6_llofra`, `fig8_acyclic`, `fig11_constraints`,
-//!   `fig14_hyperplane`, `table1_suite`, `table2_baselines`,
-//!   `fig_speedup`, `fig_complexity`;
-//! * **criterion benches** (`benches/`): wall-clock measurements —
-//!   `bench_algorithms` (FX1), `bench_execution` (FX2), `bench_ablation`.
-//!   Real-thread execution is measured on the kernel by `mdfuse bench`.
+//! extended experiments described in DESIGN.md §4) as **table/figure
+//! binaries** (`src/bin/`): deterministic programs that print the
+//! rows/series each experiment reports — `fig2_worked`, `fig6_llofra`,
+//! `fig8_acyclic`, `fig11_constraints`, `fig13_space`, `fig14_hyperplane`,
+//! `table1_suite`, `table2_baselines`, `table3_partial`, `fig_speedup`,
+//! `fig_locality`, `fig_prologue`, and `fig_complexity` (FX1: planner
+//! runtime vs graph size, plus the minimal-vector ablation).
+//! Wall-clock execution is measured elsewhere: `mdfuse bench` times the
+//! kernel on real threads, and `perfbench` measures the workspace end to
+//! end and layer by layer.
 //!
 //! This library holds the cost-model extensions shared by the binaries:
 //! makespans for baseline partitions and for shift-and-peel executions.

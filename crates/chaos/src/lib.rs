@@ -192,8 +192,10 @@ pub struct FaultPlan {
     faults: Vec<Fault>,
 }
 
-/// splitmix64: the workspace-standard seed-derivation chain.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: the workspace-standard seed-derivation chain. Advances
+/// `state` by one step and returns the mixed output; every seeded sweep,
+/// plan and hash ring in the workspace draws from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -57,7 +57,7 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use mdf_chaos::{FaultKind, FaultPlan, SITES};
+use mdf_chaos::{splitmix64, FaultKind, FaultPlan, SITES};
 use mdf_core::{DegradedPlan, FusionPlan, PlanReport};
 use mdf_graph::mldg::Mldg;
 use mdf_graph::{Budget, BudgetMeter, MdfError};
@@ -473,10 +473,6 @@ fn partial_class<M>(
     }
 }
 
-/// Requests per service case: enough that every daemon site is reachable
-/// at trigger 2 (the cache site needs one populating miss first).
-const SERVICE_REQUESTS: u64 = 3;
-
 /// What one client-observed submission attempt produced.
 enum SubmitOutcome {
     /// `Done` with this fingerprint.
@@ -487,9 +483,9 @@ enum SubmitOutcome {
     Transport(String),
 }
 
-/// One connect-submit-close round trip against a live daemon.
-fn one_submit(socket: &std::path::Path, source: &str, i: u64) -> SubmitOutcome {
-    let mut client = match Client::connect(socket) {
+/// One connect-submit-close round trip against a live daemon or router.
+fn submit_once(endpoint: &Endpoint, source: &str, i: u64) -> SubmitOutcome {
+    let mut client = match Client::connect_endpoint(endpoint) {
         Ok(c) => c,
         Err(e) => return SubmitOutcome::Transport(format!("connect: {e}")),
     };
@@ -513,20 +509,63 @@ fn one_submit(socket: &std::path::Path, source: &str, i: u64) -> SubmitOutcome {
     }
 }
 
-/// Drives `SERVICE_REQUESTS` submissions with retry-once semantics and
-/// classifies what the client observed. `retries` counts the retries the
-/// client needed (folded into the sweep's recovery counters).
-fn drive_service(socket: &std::path::Path, source: &str, want: u64, retries: &mut u64) -> Class {
-    for i in 0..SERVICE_REQUESTS {
+/// The client traffic one phase drives per case, and its retry budget.
+struct Traffic {
+    /// Submissions per case.
+    requests: u64,
+    /// Attempts per submission (the first plus the retries).
+    attempts: u32,
+    /// Pause before each retry.
+    pause: Duration,
+    /// What the endpoint is, for failure messages.
+    who: &'static str,
+}
+
+/// Daemon cases: enough requests that every daemon site is reachable at
+/// trigger 2 (the cache site needs one populating miss first). Faults are
+/// one-shot, so one retry is the recovery contract.
+const DAEMON_TRAFFIC: Traffic = Traffic {
+    requests: 3,
+    attempts: 2,
+    pause: Duration::ZERO,
+    who: "daemon",
+};
+
+/// Router cases: enough requests that both sampled triggers of every
+/// `router.*` site land mid-traffic. The router's failover is internal (a
+/// killed shard reroutes within one submission), so the client budget is
+/// a few retries for the typed `Overloaded` and `Draining` windows around
+/// a shard death.
+const ROUTER_TRAFFIC: Traffic = Traffic {
+    requests: 6,
+    attempts: 4,
+    pause: Duration::from_millis(50),
+    who: "router",
+};
+
+/// Drives `traffic`'s submissions against `endpoint` with its retry
+/// budget and classifies what the client observed. `retries` counts the
+/// retries the client needed (folded into the sweep's recovery
+/// counters).
+fn drive(
+    endpoint: &Endpoint,
+    source: &str,
+    want: u64,
+    traffic: &Traffic,
+    retries: &mut u64,
+) -> Class {
+    for i in 0..traffic.requests {
         let mut last_typed: Option<ErrCode> = None;
         let mut last_transport: Option<String> = None;
         let mut landed = false;
-        // Faults are one-shot, so one retry is the recovery contract.
-        for attempt in 0..2 {
+        for attempt in 0..traffic.attempts {
             if attempt > 0 {
                 *retries += 1;
+                if !traffic.pause.is_zero() {
+                    std::thread::sleep(traffic.pause);
+                }
             }
-            match one_submit(socket, source, i) {
+            match submit_once(endpoint, source, i) {
                 SubmitOutcome::Done(fp) if fp == want => {
                     landed = true;
                     break;
@@ -543,12 +582,13 @@ fn drive_service(socket: &std::path::Path, source: &str, want: u64, retries: &mu
         if landed {
             continue;
         }
-        // Both attempts failed. The daemon must still be answering —
+        // Retries exhausted. The endpoint must still be answering —
         // otherwise the fault took the whole service down.
-        let alive = Client::connect(socket).is_ok_and(|mut c| c.ping().is_ok());
+        let alive = Client::connect_endpoint(endpoint).is_ok_and(|mut c| c.ping().is_ok());
         if !alive {
             return Class::UnhandledPanic(format!(
-                "request {i}: daemon stopped answering after {}",
+                "request {i}: {} stopped answering after {}",
+                traffic.who,
                 last_transport
                     .or_else(|| last_typed.map(|c| c.name().to_string()))
                     .unwrap_or_else(|| "an injected fault".into())
@@ -592,7 +632,13 @@ fn service_case(
         ),
         Ok(server) => {
             let guard = FaultPlan::single(site, kind, trigger).arm();
-            let mut class = drive_service(&socket, source, want, &mut recovery.retries);
+            let mut class = drive(
+                &Endpoint::unix(&socket),
+                source,
+                want,
+                &DAEMON_TRAFFIC,
+                &mut recovery.retries,
+            );
             // A cache poison that fired must have been *observed* as a
             // rejected entry — silently surviving revalidation would mean
             // the oracle is blind, even though the answer was right.
@@ -679,7 +725,13 @@ fn persist_case(
         let populated = match Server::start(config.clone()) {
             Err(e) => Class::UnhandledPanic(format!("clean populate boot failed: {e}")),
             Ok(server) => {
-                let class = drive_service(&socket, source, want, &mut recovery.retries);
+                let class = drive(
+                    &Endpoint::unix(&socket),
+                    source,
+                    want,
+                    &DAEMON_TRAFFIC,
+                    &mut recovery.retries,
+                );
                 server.drain();
                 class
             }
@@ -704,7 +756,13 @@ fn persist_case(
     let mut class = match Server::start(config) {
         Err(e) => Class::UnhandledPanic(format!("chaos boot from store failed: {e}")),
         Ok(server) => {
-            let class = drive_service(&socket, source, want, &mut recovery.retries);
+            let class = drive(
+                &Endpoint::unix(&socket),
+                source,
+                want,
+                &DAEMON_TRAFFIC,
+                &mut recovery.retries,
+            );
             // The compaction fault fires inside drain's final fold (after
             // every thread has joined), simulating a kill between the
             // snapshot tmp-write and its rename. Anywhere else a drain
@@ -738,7 +796,13 @@ fn persist_case(
                 class = Class::UnhandledPanic(format!("reboot from damaged store failed: {e}"));
             }
             Ok(server) => {
-                let rebooted = drive_service(&socket, source, want, &mut recovery.retries);
+                let rebooted = drive(
+                    &Endpoint::unix(&socket),
+                    source,
+                    want,
+                    &DAEMON_TRAFFIC,
+                    &mut recovery.retries,
+                );
                 server.drain();
                 if rebooted != Class::Recovered {
                     class = rebooted;
@@ -785,89 +849,6 @@ fn persist_sweep(
         }
     }
     names.push(format!("mdfstore:{name}"));
-}
-
-/// Requests per router case: enough that both sampled triggers of every
-/// `router.*` site land mid-traffic.
-const ROUTER_REQUESTS: u64 = 6;
-
-/// One connect-submit-close round trip through a router endpoint.
-fn router_submit(endpoint: &Endpoint, source: &str, i: u64) -> SubmitOutcome {
-    let mut client = match Client::connect_endpoint(endpoint) {
-        Ok(c) => c,
-        Err(e) => return SubmitOutcome::Transport(format!("connect: {e}")),
-    };
-    let engine = if i.is_multiple_of(2) {
-        Engine::Kernel
-    } else {
-        Engine::Interp
-    };
-    match client.submit(Submit {
-        engine,
-        n: SWEEP_N,
-        m: SWEEP_M,
-        deadline_ms: 30_000,
-        client: String::new(),
-        source: source.to_string(),
-    }) {
-        Ok(Response::Done(done)) => SubmitOutcome::Done(done.fingerprint),
-        Ok(Response::Err(e)) => SubmitOutcome::Typed(e.code),
-        Ok(other) => SubmitOutcome::Transport(format!("unexpected response: {other:?}")),
-        Err(e) => SubmitOutcome::Transport(e.to_string()),
-    }
-}
-
-/// Drives `ROUTER_REQUESTS` submissions through the router. The router's
-/// failover is internal (a killed shard reroutes within one submission),
-/// so the client budget is a few retries for the typed `Overloaded` and
-/// `Draining` windows around a shard death.
-fn drive_router(endpoint: &Endpoint, source: &str, want: u64, retries: &mut u64) -> Class {
-    for i in 0..ROUTER_REQUESTS {
-        let mut last_typed: Option<ErrCode> = None;
-        let mut last_transport: Option<String> = None;
-        let mut landed = false;
-        for attempt in 0..4 {
-            if attempt > 0 {
-                *retries += 1;
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            match router_submit(endpoint, source, i) {
-                SubmitOutcome::Done(fp) if fp == want => {
-                    landed = true;
-                    break;
-                }
-                SubmitOutcome::Done(fp) => {
-                    return Class::WrongAnswer(format!(
-                        "request {i}: fingerprint {fp:#x} != original {want:#x}"
-                    ));
-                }
-                SubmitOutcome::Typed(code) => last_typed = Some(code),
-                SubmitOutcome::Transport(detail) => last_transport = Some(detail),
-            }
-        }
-        if landed {
-            continue;
-        }
-        // Retries exhausted. The router must still be answering —
-        // otherwise the fault took the whole fleet front door down.
-        let alive = Client::connect_endpoint(endpoint).is_ok_and(|mut c| c.ping().is_ok());
-        if !alive {
-            return Class::UnhandledPanic(format!(
-                "request {i}: router stopped answering after {}",
-                last_transport
-                    .or_else(|| last_typed.map(|c| c.name().to_string()))
-                    .unwrap_or_else(|| "an injected fault".into())
-            ));
-        }
-        if last_typed.is_some() {
-            return Class::Detected;
-        }
-        return Class::WrongAnswer(format!(
-            "request {i}: retry exhausted without a typed error: {}",
-            last_transport.unwrap_or_default()
-        ));
-    }
-    Class::Recovered
 }
 
 /// After a fired fault and a clean drive, holds the fleet to the site's
@@ -924,7 +905,13 @@ fn router_case(
         Ok(router) => {
             let endpoint = router.endpoint().clone();
             let guard = FaultPlan::single(site, kind, trigger).arm();
-            let mut class = drive_router(&endpoint, source, want, &mut recovery.retries);
+            let mut class = drive(
+                &endpoint,
+                source,
+                want,
+                &ROUTER_TRAFFIC,
+                &mut recovery.retries,
+            );
             if class == Class::Recovered && guard.injected() > 0 {
                 class = confirm_router_recovery(&endpoint, site);
             }
@@ -964,15 +951,6 @@ fn router_sweep(
         }
     }
     names.push(format!("mdf-router:{name}"));
-}
-
-/// splitmix64, the workspace-standard seed chain.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Trigger sample for a site hit `hits` times in a clean run: the first

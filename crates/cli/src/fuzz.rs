@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mdf_analyze::{certify_doall, check_certificate, check_fusion_certificate, ParallelMode};
-use mdf_chaos::{FaultKind, FaultPlan};
+use mdf_chaos::{splitmix64, FaultKind, FaultPlan};
 use mdf_core::{plan_fusion_budgeted, DegradedPlan, FusionPlan};
 use mdf_gen::{
     program_from_mldg, random_acyclic_mldg, random_infeasible_mldg, random_legal_mldg,
@@ -588,30 +588,21 @@ fn mutate_lowered(k: &mut CompiledKernel, seed: u64) -> String {
     }
 }
 
-/// splitmix64 step for the frame mutator's own byte stream.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Builds a seeded random protocol request (weighted toward `Submit`,
 /// the only variant with interesting structure).
 fn random_request(state: &mut u64) -> mdf_service::Request {
     use mdf_service::{Engine, Request, Submit};
-    match mix(state) % 6 {
+    match splitmix64(state) % 6 {
         0 => Request::Ping,
         1 => Request::Stats,
         2 => Request::Shutdown,
         _ => {
-            let len = (mix(state) % 64) as usize;
+            let len = (splitmix64(state) % 64) as usize;
             let source: String = (0..len)
                 .map(|_| {
                     // Printable ASCII plus newlines: valid UTF-8 by
                     // construction, shaped like real program text.
-                    let c = (mix(state) % 96) as u8;
+                    let c = (splitmix64(state) % 96) as u8;
                     if c == 95 {
                         '\n'
                     } else {
@@ -620,15 +611,15 @@ fn random_request(state: &mut u64) -> mdf_service::Request {
                 })
                 .collect();
             Request::Submit(Submit {
-                engine: if mix(state).is_multiple_of(2) {
+                engine: if splitmix64(state).is_multiple_of(2) {
                     Engine::Kernel
                 } else {
                     Engine::Interp
                 },
-                n: (mix(state) % 1000) as i64 - 500,
-                m: (mix(state) % 1000) as i64 - 500,
-                deadline_ms: mix(state) % 100_000,
-                client: format!("c{}", mix(state) % 8),
+                n: (splitmix64(state) % 1000) as i64 - 500,
+                m: (splitmix64(state) % 1000) as i64 - 500,
+                deadline_ms: splitmix64(state) % 100_000,
+                client: format!("c{}", splitmix64(state) % 8),
                 source,
             })
         }
@@ -664,35 +655,35 @@ fn check_frames(seed: u64) -> Result<(), CaseError> {
     // message, or a typed ProtoError. Never a panic.
     for k in 0..24u64 {
         let mut bytes = frame.clone();
-        match mix(&mut state) % 5 {
+        match splitmix64(&mut state) % 5 {
             0 => {
                 // Bit flip anywhere (length prefix included).
-                let i = (mix(&mut state) as usize) % bytes.len();
-                bytes[i] ^= 1 << (mix(&mut state) % 8);
+                let i = (splitmix64(&mut state) as usize) % bytes.len();
+                bytes[i] ^= 1 << (splitmix64(&mut state) % 8);
             }
             1 => {
                 // Truncate mid-frame (possibly mid-prefix).
-                let cut = (mix(&mut state) as usize) % bytes.len();
+                let cut = (splitmix64(&mut state) as usize) % bytes.len();
                 bytes.truncate(cut);
             }
             2 => {
                 // Hostile length prefix, up to u32::MAX.
-                let claim = (mix(&mut state) as u32).to_le_bytes();
+                let claim = (splitmix64(&mut state) as u32).to_le_bytes();
                 bytes[..4].copy_from_slice(&claim);
             }
             3 => {
                 // Append garbage (trailing bytes past the framed length).
-                let extra = (mix(&mut state) % 16) as usize + 1;
+                let extra = (splitmix64(&mut state) % 16) as usize + 1;
                 for _ in 0..extra {
-                    bytes.push(mix(&mut state) as u8);
+                    bytes.push(splitmix64(&mut state) as u8);
                 }
             }
             _ => {
                 // Overwrite a run of payload bytes with noise.
                 if bytes.len() > 5 {
-                    let start = 4 + (mix(&mut state) as usize) % (bytes.len() - 4);
+                    let start = 4 + (splitmix64(&mut state) as usize) % (bytes.len() - 4);
                     for b in bytes.iter_mut().skip(start) {
-                        *b = mix(&mut state) as u8;
+                        *b = splitmix64(&mut state) as u8;
                     }
                 }
             }

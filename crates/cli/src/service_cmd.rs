@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mdf_chaos::splitmix64;
 use mdf_graph::MdfError;
 use mdf_router::{InProcessBackend, Router, RouterConfig};
 use mdf_service::proto::{ErrCode, FleetStats, Response, ServiceStats, Submit};
@@ -116,15 +117,6 @@ pub(crate) const BATCH_WINDOW: Duration = Duration::from_millis(2);
 
 /// Bounded retries a client spends honoring `Overloaded` hints.
 const MAX_RETRIES: u64 = 3;
-
-/// splitmix64, the workspace-standard deterministic mix.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 // ---------------------------------------------------------------------
 // serve

@@ -4,16 +4,14 @@
 //! ("the two-dimensional Bellman–Ford algorithm"); at `W = i64` it is the
 //! classic algorithm used by phases one and two of Algorithm 4.
 //!
-//! Two entry points:
-//! * [`solve_difference_constraints`] — shortest paths from an *implicit*
-//!   virtual source `v0` connected to every vertex with zero weight
-//!   (Theorem 2.2/2.3). The returned distances are a feasible solution of
-//!   the difference-constraint system, or a [`NegativeCycle`] certificate
-//!   is produced.
-//! * [`shortest_paths_from`] — single-source variant with unreachable
-//!   vertices reported as `None`.
+//! Shortest paths run from an *implicit* virtual source `v0` connected to
+//! every vertex with zero weight (Theorem 2.2/2.3). The returned distances
+//! are a feasible solution of the difference-constraint system, or a
+//! [`NegativeCycle`] certificate is produced. There is one relaxation
+//! loop, [`solve_difference_constraints_traced`], metered and traced;
+//! [`solve_difference_constraints`] runs it with no limits and tracing off.
 
-use mdf_graph::budget::BudgetMeter;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::MdfError;
 use mdf_trace::Span;
 
@@ -52,96 +50,38 @@ impl<W: Weight> Solution<W> {
     }
 }
 
-/// Relaxation statistics (exposed for the complexity benchmarks; the
-/// `O(|V||E|)` bound of Section 2.4 shows up directly in `relaxation_rounds`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Number of full passes over the edge list actually executed.
-    pub rounds: usize,
-    /// Number of successful relaxations.
-    pub relaxations: usize,
-}
-
 /// Solves `x_dst - x_src <= w` for all edges, with every vertex implicitly
 /// reachable from a zero-weight virtual source.
 pub fn solve_difference_constraints<W: Weight>(g: &ConstraintGraph<W>) -> Solution<W> {
-    solve_difference_constraints_with_stats(g).0
+    match solve_difference_constraints_traced(
+        g,
+        &mut Budget::unlimited().meter(),
+        &Span::disabled(),
+    ) {
+        Ok(solution) => solution,
+        Err(_) => unreachable!("an unlimited, chaos-off meter has no limit to trip"),
+    }
 }
 
-/// As [`solve_difference_constraints`], also returning relaxation counters.
-pub fn solve_difference_constraints_with_stats<W: Weight>(
-    g: &ConstraintGraph<W>,
-) -> (Solution<W>, SolveStats) {
-    let n = g.vertex_count();
-    // Virtual source: dist starts at ZERO everywhere, exactly as if v0 had a
-    // zero-weight edge to every vertex (LLOFRA's construction).
-    let mut dist: Vec<W> = vec![W::ZERO; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    let mut stats = SolveStats::default();
-
-    for _round in 0..n {
-        stats.rounds += 1;
-        let mut changed = false;
-        for (eid, e) in g.edges().iter().enumerate() {
-            let candidate = dist[e.src] + e.weight;
-            if candidate < dist[e.dst] {
-                dist[e.dst] = candidate;
-                pred[e.dst] = Some(eid);
-                stats.relaxations += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return (Solution::Feasible { dist }, stats);
-        }
-    }
-    // A relaxation occurred in the n-th pass: a negative cycle exists. Run
-    // one more full pass, *applying* the relaxations, and walk back from a
-    // vertex updated in it: such a vertex's predecessor chain is current
-    // all the way (a vertex can only be re-improved via predecessors that
-    // were themselves improved after round one), so following it n steps
-    // provably lands on the cycle.
-    let mut witness = None;
-    for (eid, e) in g.edges().iter().enumerate() {
-        let candidate = dist[e.src] + e.weight;
-        if candidate < dist[e.dst] {
-            dist[e.dst] = candidate;
-            pred[e.dst] = Some(eid);
-            witness = Some(e.dst);
-        }
-    }
-    // An n-th relaxation pass only runs because an edge improved, so a
-    // witness was recorded.
-    #[allow(clippy::expect_used)]
-    let start = witness.expect("relaxation in pass n but no improvable edge found");
-    let cycle = extract_cycle(g, &pred, start);
-    (Solution::Infeasible { cycle }, stats)
-}
-
-/// As [`solve_difference_constraints`], but metered: every full pass over
-/// the edge list charges one solver round against `meter`, which also
-/// re-checks the wall-clock deadline. Adversarially large systems
+/// As [`solve_difference_constraints`], but metered and traced: every full
+/// pass over the edge list charges one solver round against `meter`, which
+/// also re-checks the wall-clock deadline. Adversarially large systems
 /// (Bellman–Ford is `O(|V||E|)`) therefore fail fast with
 /// [`MdfError::BudgetExceeded`] instead of stalling the pipeline.
-pub fn solve_difference_constraints_budgeted<W: Weight>(
-    g: &ConstraintGraph<W>,
-    meter: &mut BudgetMeter,
-) -> Result<Solution<W>, MdfError> {
-    solve_difference_constraints_traced(g, meter, &Span::disabled())
-}
-
-/// As [`solve_difference_constraints_budgeted`], also reporting relaxation
-/// counters onto `span`: `constraint.rounds` (full passes over the edge
-/// list), `constraint.relaxations` (successful distance improvements) and
-/// `constraint.negative-cycles` (1 when infeasible). Counters accumulate
-/// in locals and are reported once at the end, so the hot loop is
-/// identical whether tracing is enabled or not.
+///
+/// Relaxation counters go onto `span`: `constraint.rounds` (full passes
+/// over the edge list), `constraint.relaxations` (successful distance
+/// improvements) and `constraint.negative-cycles` (1 when infeasible).
+/// Counters accumulate in locals and are reported once at the end, so the
+/// hot loop is identical whether tracing is enabled or not.
 pub fn solve_difference_constraints_traced<W: Weight>(
     g: &ConstraintGraph<W>,
     meter: &mut BudgetMeter,
     span: &Span,
 ) -> Result<Solution<W>, MdfError> {
     let n = g.vertex_count();
+    // Virtual source: dist starts at ZERO everywhere, exactly as if v0 had a
+    // zero-weight edge to every vertex (LLOFRA's construction).
     let mut dist: Vec<W> = vec![W::ZERO; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut rounds: u64 = 0;
@@ -174,9 +114,12 @@ pub fn solve_difference_constraints_traced<W: Weight>(
             return Ok(Solution::Feasible { dist });
         }
     }
-    // Negative cycle: one more applying pass yields a witness vertex whose
-    // predecessor chain provably reaches the cycle (see the unbudgeted
-    // solver for the argument).
+    // A relaxation occurred in the n-th pass: a negative cycle exists. Run
+    // one more full pass, *applying* the relaxations, and walk back from a
+    // vertex updated in it: such a vertex's predecessor chain is current
+    // all the way (a vertex can only be re-improved via predecessors that
+    // were themselves improved after round one), so following it n steps
+    // provably lands on the cycle.
     meter.chaos_site("constraint.solve.round")?;
     meter.charge_rounds(1)?;
     rounds += 1;
@@ -198,50 +141,6 @@ pub fn solve_difference_constraints_traced<W: Weight>(
     Ok(Solution::Infeasible {
         cycle: extract_cycle(g, &pred, start),
     })
-}
-
-/// Single-source shortest paths; `None` marks unreachable vertices.
-pub fn shortest_paths_from<W: Weight>(
-    g: &ConstraintGraph<W>,
-    source: usize,
-) -> Result<Vec<Option<W>>, NegativeCycle<W>> {
-    let n = g.vertex_count();
-    let mut dist: Vec<Option<W>> = vec![None; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    dist[source] = Some(W::ZERO);
-
-    for _ in 0..n {
-        let mut changed = false;
-        for (eid, e) in g.edges().iter().enumerate() {
-            let Some(ds) = dist[e.src] else { continue };
-            let candidate = ds + e.weight;
-            if dist[e.dst].is_none_or(|d| candidate < d) {
-                dist[e.dst] = Some(candidate);
-                pred[e.dst] = Some(eid);
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(dist);
-        }
-    }
-    // Same witness strategy as the virtual-source solver: apply one more
-    // full pass and extract from a vertex updated in it.
-    let mut witness = None;
-    for (eid, e) in g.edges().iter().enumerate() {
-        let Some(ds) = dist[e.src] else { continue };
-        let candidate = ds + e.weight;
-        if dist[e.dst].is_none_or(|d| candidate < d) {
-            dist[e.dst] = Some(candidate);
-            pred[e.dst] = Some(eid);
-            witness = Some(e.dst);
-        }
-    }
-    // An n-th relaxation pass only runs because an edge improved, so a
-    // witness was recorded.
-    #[allow(clippy::expect_used)]
-    let start = witness.expect("relaxation in pass n but no improvable edge found");
-    Err(extract_cycle(g, &pred, start))
 }
 
 /// Walks predecessor links back from `start` (known to be reachable from a
@@ -362,48 +261,40 @@ mod tests {
     }
 
     #[test]
-    fn single_source_unreachable_is_none() {
-        let mut g: ConstraintGraph<i64> = ConstraintGraph::new(3);
-        g.add_edge(0, 1, 7);
-        let d = shortest_paths_from(&g, 0).unwrap();
-        assert_eq!(d, vec![Some(0), Some(7), None]);
-    }
-
-    #[test]
-    fn single_source_negative_cycle() {
-        let mut g: ConstraintGraph<i64> = ConstraintGraph::new(3);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, -2);
-        g.add_edge(2, 1, 1);
-        let err = shortest_paths_from(&g, 0).unwrap_err();
-        assert!(err.verify(&g));
-        assert_eq!(err.total, -1);
-    }
-
-    #[test]
-    fn negative_cycle_not_reachable_from_source_is_ignored() {
+    fn negative_cycle_off_vertex_zero_is_rejected() {
+        // The cycle {2,3} is unreachable from vertex 0, but the virtual
+        // source reaches every vertex, so the system is infeasible.
         let mut g: ConstraintGraph<i64> = ConstraintGraph::new(4);
         g.add_edge(0, 1, 5);
         g.add_edge(2, 3, -1);
         g.add_edge(3, 2, 0);
-        // From source 0 the negative cycle {2,3} is unreachable.
-        let d = shortest_paths_from(&g, 0).unwrap();
-        assert_eq!(d[1], Some(5));
-        assert_eq!(d[2], None);
-        // But the virtual-source solve must reject it.
-        assert!(!solve_difference_constraints(&g).is_feasible());
+        match solve_difference_constraints(&g) {
+            Solution::Infeasible { cycle } => {
+                assert!(cycle.verify(&g));
+                assert_eq!(cycle.total, -1);
+            }
+            other => panic!("expected infeasible, got {other:?}"),
+        }
     }
 
     #[test]
     fn stats_reflect_early_exit() {
+        use mdf_trace::{MemorySink, Tracer};
+        use std::sync::Arc;
+
         let mut g: ConstraintGraph<i64> = ConstraintGraph::new(5);
         for v in 0..4 {
             g.add_edge(v, v + 1, -1);
         }
-        let (sol, stats) = solve_difference_constraints_with_stats(&g);
+        let sink = Arc::new(MemorySink::new());
+        let span = Tracer::new(sink.clone()).span("solve");
+        let sol = solve_difference_constraints_traced(&g, &mut Budget::unlimited().meter(), &span)
+            .unwrap();
+        span.finish();
         assert!(sol.is_feasible());
-        assert!(stats.rounds <= 5);
-        assert!(stats.relaxations >= 4);
+        let profile = sink.profile().unwrap();
+        assert!(profile.counter_total("constraint.rounds") <= 5);
+        assert!(profile.counter_total("constraint.relaxations") >= 4);
     }
 
     #[test]

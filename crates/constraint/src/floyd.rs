@@ -1,8 +1,7 @@
 //! Floyd–Warshall all-pairs shortest paths.
 //!
 //! `O(|V|^3)` and allocation-heavy — used only as an independent oracle for
-//! property-testing the Bellman–Ford and SPFA engines, never on the hot
-//! path.
+//! property-testing the Bellman–Ford solver, never on the hot path.
 
 use crate::graph::ConstraintGraph;
 use crate::weight::Weight;

@@ -14,7 +14,6 @@ use crate::weight::Weight;
 pub struct ConstraintGraph<W> {
     vertex_count: usize,
     edges: Vec<CEdge<W>>,
-    out_adj: Vec<Vec<usize>>,
 }
 
 /// One weighted edge (one inequality).
@@ -34,7 +33,6 @@ impl<W: Weight> ConstraintGraph<W> {
         ConstraintGraph {
             vertex_count,
             edges: Vec::new(),
-            out_adj: vec![Vec::new(); vertex_count],
         }
     }
 
@@ -43,7 +41,6 @@ impl<W: Weight> ConstraintGraph<W> {
         assert!(src < self.vertex_count && dst < self.vertex_count);
         let id = self.edges.len();
         self.edges.push(CEdge { src, dst, weight });
-        self.out_adj[src].push(id);
         id
     }
 
@@ -69,33 +66,6 @@ impl<W: Weight> ConstraintGraph<W> {
     #[inline]
     pub fn edge(&self, id: usize) -> &CEdge<W> {
         &self.edges[id]
-    }
-
-    /// Indices of the edges leaving `v`.
-    #[inline]
-    pub fn out_edges(&self, v: usize) -> &[usize] {
-        &self.out_adj[v]
-    }
-
-    /// Topological order of the vertices, or `None` if the graph is cyclic.
-    pub fn topological_order(&self) -> Option<Vec<usize>> {
-        let mut indeg = vec![0usize; self.vertex_count];
-        for e in &self.edges {
-            indeg[e.dst] += 1;
-        }
-        let mut stack: Vec<usize> = (0..self.vertex_count).filter(|&v| indeg[v] == 0).collect();
-        let mut order = Vec::with_capacity(self.vertex_count);
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &eid in &self.out_adj[v] {
-                let w = self.edges[eid].dst;
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    stack.push(w);
-                }
-            }
-        }
-        (order.len() == self.vertex_count).then_some(order)
     }
 
     /// Sum of weights along a list of edge indices.
@@ -154,18 +124,7 @@ mod tests {
         assert_eq!(g.vertex_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edge(e0).weight, 5);
-        assert_eq!(g.out_edges(1), &[e1]);
         assert_eq!(g.weight_sum(&[e0, e1]), 3);
-    }
-
-    #[test]
-    fn topological_order_dag_and_cycle() {
-        let mut g: ConstraintGraph<i64> = ConstraintGraph::new(3);
-        g.add_edge(0, 1, 0);
-        g.add_edge(1, 2, 0);
-        assert!(g.topological_order().is_some());
-        g.add_edge(2, 0, 0);
-        assert!(g.topological_order().is_none());
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! lowered to constraint graphs and solved by shortest paths from a virtual
 //! source.
 //!
-//! * [`weight::Weight`] — the linearly ordered abelian group the engines
-//!   are generic over;
+//! * [`weight::Weight`] — the linearly ordered abelian group the solver
+//!   is generic over;
 //! * [`graph::ConstraintGraph`] — the lowered graph, with
 //!   [`graph::NegativeCycle`] infeasibility certificates;
 //! * [`bellman_ford`] — the paper's Algorithm 1 (generic Bellman–Ford) with
-//!   negative-cycle extraction;
-//! * [`spfa`] / [`dag`] / [`scc`] / [`floyd`] — alternative engines
-//!   (queue-based, topological sweep, SCC decomposition, all-pairs
-//!   oracle);
+//!   negative-cycle extraction: the one solver, metered and traced;
+//! * [`floyd`] — all-pairs Floyd–Warshall, kept only as the test oracle;
 //! * [`system::DifferenceSystem`] — the user-facing builder (Problem ILP /
 //!   Problem 2-ILP).
 
@@ -23,19 +21,14 @@
 #![forbid(unsafe_code)]
 
 pub mod bellman_ford;
-pub mod dag;
 pub mod floyd;
 pub mod graph;
-pub mod scc;
-pub mod spfa;
 pub mod system;
 pub mod weight;
 
 pub use bellman_ford::{
-    shortest_paths_from, solve_difference_constraints, solve_difference_constraints_budgeted,
-    solve_difference_constraints_traced, solve_difference_constraints_with_stats, Solution,
-    SolveStats,
+    solve_difference_constraints, solve_difference_constraints_traced, Solution,
 };
 pub use graph::{CEdge, ConstraintGraph, NegativeCycle};
-pub use system::{DifferenceSystem, Engine, Infeasible};
+pub use system::{DifferenceSystem, Infeasible};
 pub use weight::Weight;

@@ -16,8 +16,8 @@
 //! Theorem 4.2: a DOALL-after-fusion retiming exists iff both constraint
 //! graphs are free of negative cycles.
 
-use mdf_constraint::{DifferenceSystem, Engine, Infeasible};
-use mdf_graph::budget::BudgetMeter;
+use mdf_constraint::{DifferenceSystem, Infeasible};
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::{InfeasiblePhase, MdfError, WitnessWeight};
 use mdf_graph::mldg::{EdgeId, Mldg};
 use mdf_graph::vec2::IVec2;
@@ -78,35 +78,15 @@ fn phase_y_infeasible(inf: Infeasible<i64>) -> MdfError {
     }
 }
 
-/// Runs Algorithm 4 with the default Bellman–Ford engine.
+/// Runs Algorithm 4: [`fuse_cyclic_traced`] with no limits and tracing off.
 pub fn fuse_cyclic(g: &Mldg) -> Result<Retiming, MdfError> {
-    fuse_cyclic_with_engine(g, Engine::BellmanFord)
-}
-
-/// Runs Algorithm 4 with a caller-selected engine.
-pub fn fuse_cyclic_with_engine(g: &Mldg, engine: Engine) -> Result<Retiming, MdfError> {
-    // PHASE ONE: first components.
-    let x_sys = build_x_system(g);
-    let rx = x_sys
-        .solve(engine)
-        .map_err(|inf| phase_x_infeasible(g, inf))?;
-
-    // PHASE TWO: second components.
-    let y_sys = build_y_system(g, &rx);
-    let ry = y_sys.solve(engine).map_err(phase_y_infeasible)?;
-
-    combine(rx, ry)
+    fuse_cyclic_traced(g, &mut Budget::unlimited().meter(), &Span::disabled())
 }
 
 /// Runs Algorithm 4 under a resource budget: both scalar solves are
 /// metered, so oversized systems fail fast with
-/// [`MdfError::BudgetExceeded`].
-pub fn fuse_cyclic_budgeted(g: &Mldg, meter: &mut BudgetMeter) -> Result<Retiming, MdfError> {
-    fuse_cyclic_traced(g, meter, &Span::disabled())
-}
-
-/// As [`fuse_cyclic_budgeted`], reporting each scalar phase's solve onto
-/// `solve-x` / `solve-y` children of `span`.
+/// [`MdfError::BudgetExceeded`]. Each phase's solve reports onto a
+/// `solve-x` / `solve-y` child of `span`.
 pub fn fuse_cyclic_traced(
     g: &Mldg,
     meter: &mut BudgetMeter,
@@ -237,19 +217,11 @@ mod tests {
     fn budgeted_cyclic_matches_plain() {
         use mdf_graph::budget::Budget;
         let g = figure2();
-        let mut meter = Budget::unlimited().meter();
+        let mut meter = Budget::unlimited().with_max_solver_rounds(100).meter();
         assert_eq!(
-            fuse_cyclic_budgeted(&g, &mut meter).unwrap(),
+            fuse_cyclic_traced(&g, &mut meter, &Span::disabled()).unwrap(),
             fuse_cyclic(&g).unwrap()
         );
-    }
-
-    #[test]
-    fn engines_agree_on_figure2() {
-        let g = figure2();
-        let a = fuse_cyclic_with_engine(&g, Engine::BellmanFord).unwrap();
-        let b = fuse_cyclic_with_engine(&g, Engine::Spfa).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! Bellman–Ford (`mdf-constraint`), are `O(|V| |E|)`, and return canonical
 //! (shortest-path) retimings — which is why they reproduce the paper's
 //! worked examples coefficient for coefficient.
+//!
+//! Each algorithm has one body, its metered and traced `*_traced` form
+//! (the one [`plan_fusion_budgeted`] runs). The plain form (`llofra`,
+//! `fuse_acyclic`, …, [`plan_fusion`]) is that body under
+//! [`Budget::unlimited`] with tracing off.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,16 +41,12 @@ pub mod partial;
 pub mod planner;
 pub mod report;
 
-pub use acyclic::{fuse_acyclic, fuse_acyclic_budgeted, fuse_acyclic_traced};
-pub use cyclic::{fuse_cyclic, fuse_cyclic_budgeted, fuse_cyclic_traced};
+pub use acyclic::{fuse_acyclic, fuse_acyclic_traced};
+pub use cyclic::{fuse_cyclic, fuse_cyclic_traced};
 pub use explain::{explain_fusion, Explanation};
-pub use hyperplane::{
-    fuse_hyperplane, fuse_hyperplane_budgeted, fuse_hyperplane_traced, HyperplanePlan,
-};
-pub use llofra::{llofra, llofra_budgeted, llofra_traced};
-pub use partial::{
-    fuse_partial, fuse_partial_budgeted, fuse_partial_traced, verify_partial, PartialFusionPlan,
-};
+pub use hyperplane::{fuse_hyperplane, fuse_hyperplane_traced, HyperplanePlan};
+pub use llofra::{llofra, llofra_traced};
+pub use partial::{fuse_partial, fuse_partial_traced, verify_partial, PartialFusionPlan};
 pub use planner::{
     plan_fusion, plan_fusion_budgeted, plan_fusion_traced, verify_plan, DegradedPlan,
     FullParallelMethod, FusionPlan, PlanReport, Rung, RungAttempt,

@@ -9,8 +9,8 @@
 //! cycles all weigh at least `(0,0)` — is reported with the offending
 //! cycle.
 
-use mdf_constraint::{DifferenceSystem, Engine};
-use mdf_graph::budget::BudgetMeter;
+use mdf_constraint::DifferenceSystem;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::error::{InfeasiblePhase, MdfError, WitnessWeight};
 use mdf_graph::mldg::{EdgeId, Mldg};
 use mdf_graph::vec2::IVec2;
@@ -51,7 +51,7 @@ pub fn build_llofra_system(g: &Mldg) -> DifferenceSystem<IVec2> {
     sys
 }
 
-/// Runs LLOFRA with the default Bellman–Ford engine.
+/// Runs LLOFRA: [`llofra_traced`] with no limits and tracing off.
 ///
 /// ```
 /// use mdf_core::llofra;
@@ -63,28 +63,13 @@ pub fn build_llofra_system(g: &Mldg) -> DifferenceSystem<IVec2> {
 /// assert_eq!(r.offsets(), &[v2(0, 0), v2(0, 0), v2(0, -2), v2(0, -3)]);
 /// ```
 pub fn llofra(g: &Mldg) -> Result<Retiming, MdfError> {
-    llofra_with_engine(g, Engine::BellmanFord)
-}
-
-/// Runs LLOFRA with a caller-selected constraint engine (used by the
-/// ablation benchmarks; all engines return the same canonical retiming).
-pub fn llofra_with_engine(g: &Mldg, engine: Engine) -> Result<Retiming, MdfError> {
-    let sys = build_llofra_system(g);
-    match sys.solve(engine) {
-        Ok(offsets) => Ok(Retiming::from_offsets(offsets)),
-        Err(inf) => Err(lex_infeasible(g, inf)),
-    }
+    llofra_traced(g, &mut Budget::unlimited().meter(), &Span::disabled())
 }
 
 /// Runs LLOFRA under a resource budget: the 2-D Bellman–Ford solve is
 /// metered (rounds + deadline), so oversized or adversarial graphs return
-/// [`MdfError::BudgetExceeded`] instead of stalling.
-pub fn llofra_budgeted(g: &Mldg, meter: &mut BudgetMeter) -> Result<Retiming, MdfError> {
-    llofra_traced(g, meter, &Span::disabled())
-}
-
-/// As [`llofra_budgeted`], reporting the 2-D solve onto a `solve` child
-/// of `span`.
+/// [`MdfError::BudgetExceeded`] instead of stalling. The solve reports
+/// onto a `solve` child of `span`.
 pub fn llofra_traced(g: &Mldg, meter: &mut BudgetMeter, span: &Span) -> Result<Retiming, MdfError> {
     let sys = build_llofra_system(g);
     let solve = span.child("solve");
@@ -157,18 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree() {
-        let g = figure14();
-        let bf = llofra_with_engine(&g, Engine::BellmanFord).unwrap();
-        let spfa = llofra_with_engine(&g, Engine::Spfa).unwrap();
-        let dag = llofra_with_engine(&g, Engine::DagOrBellmanFord).unwrap();
-        let scc = llofra_with_engine(&g, Engine::SccDecomposed).unwrap();
-        assert_eq!(bf, spfa);
-        assert_eq!(bf, dag);
-        assert_eq!(bf, scc);
-    }
-
-    #[test]
     fn negative_cycle_reported_with_witness() {
         // A graph violating the legality hypothesis: cycle weight (0,-1).
         let mut g = Mldg::new();
@@ -199,9 +172,9 @@ mod tests {
     fn budgeted_llofra_matches_plain_llofra() {
         use mdf_graph::budget::Budget;
         let g = figure2();
-        let mut meter = Budget::unlimited().meter();
+        let mut meter = Budget::unlimited().with_max_solver_rounds(100).meter();
         assert_eq!(
-            llofra_budgeted(&g, &mut meter).unwrap(),
+            llofra_traced(&g, &mut meter, &Span::disabled()).unwrap(),
             llofra(&g).unwrap()
         );
     }

@@ -22,8 +22,8 @@
 //! and no fusion (all singletons), and is an alternative to Algorithm 5's
 //! wavefront that preserves the row-parallel execution model.
 
-use mdf_constraint::{DifferenceSystem, Engine};
-use mdf_graph::budget::BudgetMeter;
+use mdf_constraint::DifferenceSystem;
+use mdf_graph::budget::{Budget, BudgetMeter};
 use mdf_graph::cycles::topological_order;
 use mdf_graph::error::MdfError;
 use mdf_graph::legality::textual_order;
@@ -102,23 +102,13 @@ fn combine(rx: Vec<i64>, ry: Vec<i64>) -> Retiming {
     )
 }
 
-/// Solves the mixed constraint system for a given cluster assignment.
-/// `cluster_of[v]` is the execution position of `v`'s cluster.
-fn solve_for_assignment(g: &Mldg, cluster_of: &[usize]) -> Option<Retiming> {
-    let rx = build_x_assignment_system(g, cluster_of)
-        .solve(Engine::BellmanFord)
-        .ok()?;
-    let ry = build_y_assignment_system(g, cluster_of, &rx)
-        .solve(Engine::BellmanFord)
-        .ok()?;
-    Some(combine(rx, ry))
-}
-
-/// As [`solve_for_assignment`], but metered and traced: `Err` is a budget
-/// trip, `Ok(None)` ordinary infeasibility of this assignment. The greedy
-/// scan performs `O(|V|)` of these solves, so counters accumulate directly
-/// on the caller's span rather than spawning a child span per solve.
-fn solve_for_assignment_traced(
+/// Solves the mixed constraint system for a given cluster assignment
+/// (`cluster_of[v]` is the execution position of `v`'s cluster), metered
+/// and traced: `Err` is a budget trip, `Ok(None)` ordinary infeasibility
+/// of this assignment. The greedy scan performs `O(|V|)` of these solves,
+/// so counters accumulate directly on the caller's span rather than
+/// spawning a child span per solve.
+fn solve_for_assignment(
     g: &Mldg,
     cluster_of: &[usize],
     meter: &mut BudgetMeter,
@@ -133,9 +123,10 @@ fn solve_for_assignment_traced(
     Ok(Some(combine(rx, ry)))
 }
 
-/// Greedy partial fusion. Returns `None` when even the all-singleton
-/// partition is infeasible (the graph has a lexicographically negative
-/// cycle, or a same-iteration cycle no ordering can serialize).
+/// Greedy partial fusion: [`fuse_partial_traced`] with no limits and
+/// tracing off. Returns `None` when even the all-singleton partition is
+/// infeasible (the graph has a lexicographically negative cycle, or a
+/// same-iteration cycle no ordering can serialize).
 ///
 /// ```
 /// use mdf_core::partial::{fuse_partial, verify_partial};
@@ -147,11 +138,28 @@ fn solve_for_assignment_traced(
 /// assert!(verify_partial(&figure2(), &plan));
 /// ```
 pub fn fuse_partial(g: &Mldg) -> Option<PartialFusionPlan> {
+    match fuse_partial_traced(g, &mut Budget::unlimited().meter(), &Span::disabled()) {
+        Ok(plan) => plan,
+        Err(_) => unreachable!("an unlimited, chaos-off meter has no limit to trip"),
+    }
+}
+
+/// Greedy partial fusion under a resource budget: the per-assignment
+/// solves are metered (the greedy scan performs `O(|V|)` of them, so this
+/// is the most solver-hungry rung of the planner's ladder). `Err` is a
+/// budget trip; `Ok(None)` means no row-parallel clustering exists, as in
+/// [`fuse_partial`]. Every per-assignment solve's counters go onto `span`
+/// (plus `partial.clusters` on success).
+pub fn fuse_partial_traced(
+    g: &Mldg,
+    meter: &mut BudgetMeter,
+    span: &Span,
+) -> Result<Option<PartialFusionPlan>, MdfError> {
     if g.node_count() == 0 {
-        return Some(PartialFusionPlan {
+        return Ok(Some(PartialFusionPlan {
             clusters: Vec::new(),
             retiming: Retiming::identity(0),
-        });
+        }));
     }
     // Scan order: the textual order when one exists, otherwise any
     // topological-ish order (feasibility is decided by the solver anyway).
@@ -164,13 +172,14 @@ pub fn fuse_partial(g: &Mldg) -> Option<PartialFusionPlan> {
     let mut retiming: Option<Retiming> = None;
 
     for &v in &order {
+        meter.check_deadline()?;
         // Try appending v to the last cluster.
         if let Some(last) = clusters.len().checked_sub(1) {
             cluster_of[v.index()] = last;
             // Unassigned nodes each get their own future position so their
             // edges are treated as inter-cluster in scan order.
             let tentative = assignment_with_tail(&cluster_of, &order, clusters.len());
-            if let Some(r) = solve_for_assignment(g, &tentative) {
+            if let Some(r) = solve_for_assignment(g, &tentative, meter, span)? {
                 clusters[last].push(v);
                 retiming = Some(r);
                 continue;
@@ -181,64 +190,7 @@ pub fn fuse_partial(g: &Mldg) -> Option<PartialFusionPlan> {
         cluster_of[v.index()] = next;
         clusters.push(vec![v]);
         let tentative = assignment_with_tail(&cluster_of, &order, clusters.len());
-        match solve_for_assignment(g, &tentative) {
-            Some(r) => retiming = Some(r),
-            None => return None,
-        }
-    }
-    let retiming = retiming?;
-    Some(PartialFusionPlan { clusters, retiming })
-}
-
-/// Greedy partial fusion under a resource budget: the per-assignment
-/// solves are metered (the greedy scan performs `O(|V|)` of them, so this
-/// is the most solver-hungry rung of the planner's ladder). `Err` is a
-/// budget trip; `Ok(None)` means no row-parallel clustering exists, as in
-/// [`fuse_partial`].
-pub fn fuse_partial_budgeted(
-    g: &Mldg,
-    meter: &mut BudgetMeter,
-) -> Result<Option<PartialFusionPlan>, MdfError> {
-    fuse_partial_traced(g, meter, &Span::disabled())
-}
-
-/// As [`fuse_partial_budgeted`], reporting every per-assignment solve's
-/// counters onto `span` (plus `partial.clusters` on success).
-pub fn fuse_partial_traced(
-    g: &Mldg,
-    meter: &mut BudgetMeter,
-    span: &Span,
-) -> Result<Option<PartialFusionPlan>, MdfError> {
-    if g.node_count() == 0 {
-        return Ok(Some(PartialFusionPlan {
-            clusters: Vec::new(),
-            retiming: Retiming::identity(0),
-        }));
-    }
-    let order = textual_order(g)
-        .or_else(|| topological_order(g))
-        .unwrap_or_else(|| g.node_ids().collect());
-
-    let mut cluster_of = vec![usize::MAX; g.node_count()];
-    let mut clusters: Vec<Vec<NodeId>> = Vec::new();
-    let mut retiming: Option<Retiming> = None;
-
-    for &v in &order {
-        meter.check_deadline()?;
-        if let Some(last) = clusters.len().checked_sub(1) {
-            cluster_of[v.index()] = last;
-            let tentative = assignment_with_tail(&cluster_of, &order, clusters.len());
-            if let Some(r) = solve_for_assignment_traced(g, &tentative, meter, span)? {
-                clusters[last].push(v);
-                retiming = Some(r);
-                continue;
-            }
-        }
-        let next = clusters.len();
-        cluster_of[v.index()] = next;
-        clusters.push(vec![v]);
-        let tentative = assignment_with_tail(&cluster_of, &order, clusters.len());
-        match solve_for_assignment_traced(g, &tentative, meter, span)? {
+        match solve_for_assignment(g, &tentative, meter, span)? {
             Some(r) => retiming = Some(r),
             None => return Ok(None),
         }
@@ -363,9 +315,9 @@ mod tests {
     fn budgeted_partial_matches_plain() {
         use mdf_graph::budget::Budget;
         for g in [figure2(), figure8(), figure14()] {
-            let mut meter = Budget::unlimited().meter();
+            let mut meter = Budget::unlimited().with_max_solver_rounds(1_000).meter();
             assert_eq!(
-                fuse_partial_budgeted(&g, &mut meter).unwrap(),
+                fuse_partial_traced(&g, &mut meter, &Span::disabled()).unwrap(),
                 fuse_partial(&g)
             );
         }

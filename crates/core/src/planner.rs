@@ -27,9 +27,9 @@ use mdf_retime::{
 };
 use mdf_trace::Span;
 
-use crate::acyclic::{fuse_acyclic, fuse_acyclic_traced};
-use crate::cyclic::{fuse_cyclic, fuse_cyclic_traced};
-use crate::hyperplane::{fuse_hyperplane, fuse_hyperplane_traced};
+use crate::acyclic::fuse_acyclic_traced;
+use crate::cyclic::fuse_cyclic_traced;
+use crate::hyperplane::fuse_hyperplane_traced;
 use crate::partial::{fuse_partial_traced, verify_partial, PartialFusionPlan};
 
 /// Which algorithm produced a full-parallel plan.
@@ -85,8 +85,11 @@ impl FusionPlan {
     }
 }
 
-/// Plans fusion for `g`. Only fails when the graph has a lexicographically
-/// negative cycle (not a legal nested loop).
+/// Plans fusion for `g`: the degradation ladder of
+/// [`plan_fusion_budgeted`] under [`Budget::unlimited`], kept to plans
+/// that fuse into one loop. Fails when the graph has a lexicographically
+/// negative cycle (not a legal nested loop), or with the Algorithm 5
+/// rung's error when only partial fusion succeeds.
 ///
 /// ```
 /// use mdf_core::{plan_fusion, verify_plan};
@@ -102,24 +105,16 @@ impl FusionPlan {
 /// assert_eq!(plan.wavefront().unwrap().schedule, mdf_graph::v2(5, 1));
 /// ```
 pub fn plan_fusion(g: &Mldg) -> Result<FusionPlan, MdfError> {
-    if is_acyclic(g) {
-        let retiming = fuse_acyclic(g)?;
-        return Ok(FusionPlan::FullParallel {
-            retiming,
-            method: FullParallelMethod::Acyclic,
-        });
+    let report = plan_fusion_budgeted(g, &Budget::unlimited())?;
+    match report.plan {
+        DegradedPlan::Fused(plan) => Ok(plan),
+        // Partial fusion only runs after Algorithm 5 failed; that failure
+        // is the answer for a caller who asked for one fused loop.
+        DegradedPlan::Partial(_) => Err(last_error(
+            report.attempts,
+            MdfError::invalid("no single fused loop exists"),
+        )),
     }
-    if let Ok(retiming) = fuse_cyclic(g) {
-        return Ok(FusionPlan::FullParallel {
-            retiming,
-            method: FullParallelMethod::Cyclic,
-        });
-    }
-    let hp = fuse_hyperplane(g)?;
-    Ok(FusionPlan::Hyperplane {
-        retiming: hp.retiming,
-        wavefront: hp.wavefront,
-    })
 }
 
 /// One rung of the budgeted planner's degradation ladder.

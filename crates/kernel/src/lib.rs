@@ -28,10 +28,10 @@
 //! precisely what `mdf-analyze`'s static race certificate proves — for
 //! every iteration-space size, not just the one being run. The engine
 //! therefore *consumes the certificate*: [`plan_mode`] runs
-//! [`certify_doall`] and only a `Certified` verdict unlocks the loop-major
-//! traversal and threaded in-place writes; anything else degrades to the
-//! canonical sequential serialization (still compiled, still in place —
-//! a single thread cannot race itself).
+//! [`mdf_analyze::certify_doall`] and only a `Certified` verdict unlocks
+//! the loop-major traversal and threaded in-place writes; anything else
+//! degrades to the canonical sequential serialization (still compiled,
+//! still in place — a single thread cannot race itself).
 //!
 //! A second, independent gate governs *bounds checks*: by default every
 //! load and store asserts its flat index against the buffer length. A
@@ -60,9 +60,7 @@ pub use memory::KernelMemory;
 // service plan cache) can store and revalidate bytecode certificates.
 pub use mdf_analyze::bytecode::{BytecodeCert, VmImage, VmMode};
 
-use mdf_analyze::{
-    certify_doall, certify_doall_traced, certify_elision, certify_elision_traced, ParallelMode,
-};
+use mdf_analyze::{certify_doall_traced, certify_elision_traced, ParallelMode};
 use mdf_core::FusionPlan;
 use mdf_ir::retgen::FusedSpec;
 use mdf_trace::Span;
@@ -70,28 +68,10 @@ use mdf_trace::Span;
 /// Picks the execution mode for a plan by consulting the static race
 /// certificate: certified plans run loop-major and (on multicore hosts)
 /// with threaded in-place writes; uncertified plans fall back to the
-/// canonical sequential serialization.
+/// canonical sequential serialization. This is [`plan_mode_traced`] with
+/// tracing off.
 pub fn plan_mode(spec: &FusedSpec, plan: &FusionPlan) -> ExecMode {
-    match plan {
-        FusionPlan::FullParallel { .. } => {
-            if certify_doall(spec, ParallelMode::Rows).is_certified() {
-                ExecMode::RowsCertified
-            } else {
-                ExecMode::RowsSerial
-            }
-        }
-        FusionPlan::Hyperplane { wavefront, .. } => {
-            let s = wavefront.schedule;
-            let certified = certify_doall(spec, ParallelMode::Hyperplanes(s)).is_certified();
-            ExecMode::Wavefront {
-                schedule: s,
-                certified,
-                // Barrier elision rides on top of the hyperplane license:
-                // only a certified wavefront may also tile.
-                elide: certified && certify_elision(spec, s).is_certified(),
-            }
-        }
-    }
+    plan_mode_traced(spec, plan, &Span::disabled())
 }
 
 /// As [`plan_mode`], reporting the certificate consultation and the

@@ -10,14 +10,7 @@
 //! owner), and every other key keeps its shard. When it comes back, the
 //! same keys move home again.
 
-/// splitmix64: the workspace-standard deterministic mixer.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use mdf_chaos::splitmix64;
 
 /// Default virtual nodes per shard. Enough to spread load within ~20% of
 /// even for small fleets without making lookup tables large.

@@ -28,6 +28,11 @@ cargo run -q --release --example quickstart >/dev/null
 cargo run -q --release --example image_pipeline >/dev/null
 cargo run -q --release --example stencil_wavefront >/dev/null
 
+# The FX1 table, whose minimal-vector columns assert that LLOFRA with
+# one constraint per edge equals one constraint per dependence vector.
+echo "==> fig_complexity (FX1 + minimal-vector equality)"
+cargo run -q --release -p mdf-bench --bin fig_complexity >/dev/null
+
 echo "==> fuzz smoke (50 cases)"
 ./target/release/mdfuse fuzz --cases 50 --seed 1
 
