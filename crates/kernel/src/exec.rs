@@ -6,12 +6,17 @@
 //!
 //! * [`ExecMode::RowsCertified`] — row-DOALL execution. Each fused row
 //!   runs **loop-major**: every lowered loop sweeps its active column
-//!   range as a tight cursor-increment loop (statement-major within the
-//!   loop). This reordering of the canonical cell-major serialization is
-//!   exactly what the row-DOALL certificate licenses: no dependence binds
-//!   two distinct iterations of a row, and same-iteration statement order
-//!   is preserved. Long rows additionally split into column tiles executed
-//!   on worker threads, writing **in place** through [`SharedCells`].
+//!   range statement by statement, [`TILE_COLS`]-wide *strips* at a time
+//!   ([`crate::lower::eval_strip`]): each instruction runs once over a
+//!   strip, loads and the store are strip copies, and each strip is
+//!   bounds-checked at its two ends. This reordering of the canonical
+//!   cell-major serialization is exactly what the row-DOALL guarantee
+//!   (Property 4.2) licenses, proved by the race certificate and by the
+//!   verifier's `MDF204`: no dependence binds two distinct iterations of
+//!   a row, and within one iteration loads still precede the store and
+//!   statements keep body order. Long rows additionally split into column
+//!   tiles executed on worker threads, writing **in place** through
+//!   [`SharedCells`].
 //! * [`ExecMode::RowsSerial`] — the canonical cell-major serialization,
 //!   sequential and in place (a single thread cannot race itself). The
 //!   fallback when no certificate exists.
@@ -77,7 +82,9 @@ use mdf_sim::{
 };
 use mdf_trace::Span;
 
-use crate::lower::{eval_compiled, lower_loop, CompiledLoop, Instr, MAX_REGS};
+use crate::lower::{
+    eval_compiled, eval_strip, lower_loop, CompiledLoop, CompiledStmt, Instr, MAX_REGS,
+};
 use crate::memory::{KernelMemory, Layout};
 
 impl Snapshot for KernelMemory {
@@ -86,8 +93,10 @@ impl Snapshot for KernelMemory {
     }
 }
 
-/// Width of the column tiles a shared certified row is dealt in; a row
-/// under two tiles runs on worker 0 alone (EXPERIMENTS.md, "SPMD").
+/// Width of the column tiles a shared certified row is dealt in (a row
+/// under two tiles runs on worker 0 alone), and of the strips a certified
+/// row's statements are evaluated over (EXPERIMENTS.md, "SPMD" and
+/// "Strip evaluation").
 const TILE_COLS: i64 = 256;
 
 /// Minimum estimated cell count in a tile wave before its tiles are shared
@@ -207,12 +216,12 @@ enum DriveEnd {
 /// so concurrent in-place access through a raw pointer is data-race-free.
 ///
 /// `CHECKED` selects the bounds policy per access. The checked view
-/// asserts every index against the buffer length — the historical
-/// behaviour, and the fallback whenever no [`BytecodeCert`] is armed. The
-/// unchecked view demotes the assert to a `debug_assert`: release builds
-/// pay nothing, because the verifier has already proved every load and
-/// store of the entire retimed iteration space in-bounds
-/// ([`CompiledKernel::arm`]).
+/// asserts every index against the buffer length — both ends of a strip
+/// access, which puts every cell between them in range too — and is the
+/// fallback whenever no [`BytecodeCert`] is armed. The unchecked view
+/// demotes the asserts to `debug_assert`s: release builds pay nothing,
+/// because the verifier has already proved every load and store of the
+/// entire retimed iteration space in-bounds ([`CompiledKernel::arm`]).
 struct SharedCells<const CHECKED: bool> {
     ptr: *mut i64,
     len: usize,
@@ -252,6 +261,42 @@ impl<const CHECKED: bool> SharedCells<CHECKED> {
     fn write(&self, idx: isize, v: i64) {
         let u = self.slot(idx);
         unsafe { *self.ptr.add(u) = v }
+    }
+
+    /// The slot of `idx`, with `len > 0` consecutive cells from it
+    /// checked by their two ends: the first is at least 0, so the range
+    /// cannot wrap, and the last is in range, so every cell between is.
+    #[inline]
+    fn span(&self, idx: isize, len: usize) -> usize {
+        let u = self.slot(idx);
+        self.slot(idx.wrapping_add(len as isize - 1));
+        u
+    }
+
+    /// Copies the `out.len()` cells from `idx` on into `out`.
+    #[inline]
+    fn read_strip(&self, idx: isize, out: &mut [i64]) {
+        if out.is_empty() {
+            return;
+        }
+        let u = self.span(idx, out.len());
+        // SAFETY: `span` checked (or the armed certificate proved) cells
+        // `u..u + out.len()` inside the buffer; `out` is a lane buffer,
+        // never the kernel buffer, so the two do not overlap; and no other
+        // worker writes these cells during the step (module docs).
+        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(u), out.as_mut_ptr(), out.len()) }
+    }
+
+    /// Stores `src` into the `src.len()` cells from `idx` on.
+    #[inline]
+    fn write_strip(&self, idx: isize, src: &[i64]) {
+        if src.is_empty() {
+            return;
+        }
+        let u = self.span(idx, src.len());
+        // SAFETY: as for `read_strip`, with no other worker reading or
+        // writing cells `u..u + src.len()` during the step.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(u), src.len()) }
     }
 }
 
@@ -773,13 +818,14 @@ impl CompiledKernel {
         match steps {
             Steps::Rows { certified: true } => {
                 let fi = self.outer.lo + k as i64;
+                let mut lanes = self.lane_buffer();
                 if workers == 1 {
-                    return self.exec_row_tile(cells, &mut regs, fi, i64::MIN, i64::MAX);
+                    return self.exec_row_tile(cells, &mut lanes, fi, i64::MIN, i64::MAX);
                 }
                 for t in (me..self.column_tile_count()).step_by(workers) {
                     let lo = self.inner.lo + t as i64 * TILE_COLS;
                     let hi = (lo + TILE_COLS - 1).min(self.inner.hi);
-                    instances += self.exec_row_tile(cells, &mut regs, fi, lo, hi);
+                    instances += self.exec_row_tile(cells, &mut lanes, fi, lo, hi);
                 }
             }
             Steps::Rows { certified: false } => {
@@ -818,15 +864,25 @@ impl CompiledKernel {
         (self.inner.len().max(0) as usize).div_ceil(TILE_COLS as usize)
     }
 
+    /// A zeroed strip register file for certified rows: as many lanes as
+    /// any statement claims slots, each as wide as the widest strip a
+    /// loop's sweep can run ([`TILE_COLS`], or the loop's whole column
+    /// range when that is narrower).
+    fn lane_buffer(&self) -> Vec<i64> {
+        let regs = self.loops.iter().flat_map(|cl| &cl.stmts).map(|s| s.regs);
+        let width = self.loops.iter().map(|cl| cl.cols.len().min(TILE_COLS));
+        vec![0; regs.max().unwrap_or(0) as usize * width.max().unwrap_or(0) as usize]
+    }
+
     /// Columns `[tile_lo, tile_hi]` of certified row `fi`, loop-major:
     /// each active loop's statements sweep the loop's columns inside the
-    /// tile with a cursor that advances by one cell per step. The row
-    /// certificate makes any column split of a row equivalent (no
-    /// dependence crosses iterations within the row).
+    /// tile in strips ([`sweep_stmt`]). The row certificate makes any
+    /// column split of a row, and any order of its iterations, equivalent
+    /// (no dependence crosses iterations within the row).
     fn exec_row_tile<const CHECKED: bool>(
         &self,
         cells: &SharedCells<CHECKED>,
-        regs: &mut [i64; MAX_REGS],
+        lanes: &mut [i64],
         fi: i64,
         tile_lo: i64,
         tile_hi: i64,
@@ -839,12 +895,9 @@ impl CompiledKernel {
                 continue;
             }
             let base = self.layout.cursor(fi + cl.offset.x, lo + cl.offset.y) as isize;
-            let len = hi - lo + 1;
+            let len = (hi - lo + 1) as usize;
             for s in &cl.stmts {
-                for cur in base..base + len as isize {
-                    let v = eval_compiled(&s.instrs, regs, |d| cells.read(cur + d));
-                    cells.write(cur + s.store_delta, v);
-                }
+                sweep_stmt(cells, lanes, s, base, len);
             }
             instances += cl.stmts.len() as u64 * len as u64;
         }
@@ -1178,6 +1231,26 @@ impl<'a, const CHECKED: bool> Spmd<'a, CHECKED> {
     }
 }
 
+/// Runs statement `s` at the `len` cursors from `base` on, [`TILE_COLS`]
+/// at a time: each strip's loads, then its store, with the last strip
+/// ragged. `lanes` holds `s.regs` lanes as wide as the widest strip.
+fn sweep_stmt<const CHECKED: bool>(
+    cells: &SharedCells<CHECKED>,
+    lanes: &mut [i64],
+    s: &CompiledStmt,
+    base: isize,
+    len: usize,
+) {
+    for start in (0..len).step_by(TILE_COLS as usize) {
+        let cur = base + start as isize;
+        let width = (len - start).min(TILE_COLS as usize);
+        let v = eval_strip(&s.instrs, lanes, width, |d, lane| {
+            cells.read_strip(cur + d, lane)
+        });
+        cells.write_strip(cur + s.store_delta, v);
+    }
+}
+
 fn div_floor(a: i64, b: i64) -> i64 {
     let q = a / b;
     if (a % b != 0) && ((a < 0) != (b < 0)) {
@@ -1236,22 +1309,122 @@ mod tests {
 
     #[test]
     fn forced_tiled_path_matches_serial_and_armed_paths() {
-        // Push the row length past the tiling threshold and force a
-        // multi-worker policy: the SharedCells tiled path, checked and
-        // armed, must produce the same image as the single-threaded sweep.
+        // Push the row length past the tiling threshold and force
+        // multi-worker policies: the SharedCells tiled path, checked and
+        // armed, must reproduce the interpreter's image and accounting.
+        // At m = 3 * TILE_COLS + 37 each loop sweeps 3 * TILE_COLS + 38
+        // columns: ragged column tiles under several workers, a ragged
+        // last strip under one.
+        for m in [3 * TILE_COLS, 3 * TILE_COLS + 37] {
+            for p in [figure2_program(), image_pipeline_program()] {
+                let (spec, plan) = planned_spec(&p);
+                let mode = crate::plan_mode(&spec, &plan);
+                assert_eq!(mode, ExecMode::RowsCertified, "{}", p.name);
+                let (imem, _) = run_original(&p, 5, m);
+                let (_, istats) = run_fused(&spec, 5, m);
+                let mut k = CompiledKernel::compile(&spec, 5, m).unwrap();
+                assert!(k.rows_tiled(2), "shape must cross the tiling threshold");
+                for armed in [false, true] {
+                    if armed {
+                        k.arm(mode).unwrap();
+                    }
+                    for threads in [1, 2, 4] {
+                        let (kmem, kstats) = k.run_with_threads(mode, threads);
+                        let at = format!("{} m={m} armed={armed} threads={threads}", p.name);
+                        assert_eq!(kmem.fingerprint(), imem.fingerprint(), "{at}");
+                        assert_eq!(kstats, istats, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strip_sweep_matches_per_cell_evaluation_at_ragged_widths() {
+        // Every Figure 2 statement, plus one covering Const, Neg and a
+        // wrapping Mul, swept in strips must leave the buffer exactly as
+        // the per-cell evaluator does: one short strip, one just under a
+        // full strip, one full strip, and a full strip with a 1-wide tail.
+        use crate::lower::lower_stmt;
+        use mdf_ir::ast::{ArrayRef, BinOp, Expr, Stmt};
         let p = figure2_program();
-        let (spec, plan) = planned_spec(&p);
-        let mode = crate::plan_mode(&spec, &plan);
-        let mut k = CompiledKernel::compile(&spec, 4, 3 * TILE_COLS).unwrap();
-        assert!(k.rows_tiled(4), "shape must cross the tiling threshold");
-        let (serial, _) = k.run_with_threads(mode, 1);
-        let (tiled, _) = k.run_with_threads(mode, 4);
-        assert_eq!(serial.fingerprint(), tiled.fingerprint());
-        let (imem, _) = run_original(&p, 4, 3 * TILE_COLS);
-        assert_eq!(tiled.fingerprint(), imem.fingerprint());
-        k.arm(mode).unwrap();
-        let (armed, _) = k.run_with_threads(mode, 4);
-        assert_eq!(armed.fingerprint(), tiled.fingerprint());
+        let layout = Layout::for_program(&p, 4, TILE_COLS + 4);
+        let mut stmts: Vec<Stmt> = p.loops.iter().flat_map(|l| l.stmts.clone()).collect();
+        stmts.push(Stmt {
+            lhs: ArrayRef::new(3, 0, 0),
+            rhs: Expr::bin(
+                BinOp::Sub,
+                Expr::Neg(Box::new(Expr::bin(
+                    BinOp::Mul,
+                    Expr::Ref(ArrayRef::new(0, -1, 1)),
+                    Expr::Const(i64::MAX),
+                ))),
+                Expr::Ref(ArrayRef::new(2, 0, -2)),
+            ),
+        });
+        let fresh = KernelMemory::new(layout).data_mut().to_vec();
+        let t = TILE_COLS as usize;
+        for (si, s) in stmts.iter().enumerate() {
+            let c = lower_stmt(&layout, s).unwrap();
+            for len in [1, t - 1, t, t + 1] {
+                let base = layout.cursor(2, 0) as isize;
+                let mut want = fresh.clone();
+                let mut regs = [0i64; MAX_REGS];
+                for cur in base..base + len as isize {
+                    let v = eval_compiled(&c.instrs, &mut regs, |d| want[(cur + d) as usize]);
+                    want[(cur + c.store_delta) as usize] = v;
+                }
+                let mut got = fresh.clone();
+                let mut lanes = vec![0; c.regs as usize * t];
+                sweep_stmt(
+                    &SharedCells::<true>::new(&mut got),
+                    &mut lanes,
+                    &c,
+                    base,
+                    len,
+                );
+                assert_eq!(got, want, "statement {si} over {len} cells");
+            }
+        }
+    }
+
+    #[test]
+    fn checked_strips_trap_one_past_the_end_at_their_tail() {
+        // A disarmed mutant whose only out-of-bounds cell is the last one
+        // of the last strip: its head is in range, so a check of the head
+        // alone would read past the buffer instead of panicking.
+        let (n, m) = (2, 3 * TILE_COLS + 37);
+        let spec = FusedSpec::unretimed(single_node_program());
+        let honest = CompiledKernel::compile(&spec, n, m).unwrap();
+        let layout = honest.layout();
+        let past_end = (layout.cells() - layout.cursor(n, m)) as isize;
+        let tail = (m + 1) % TILE_COLS;
+        assert!(layout.cursor(n, m - tail + 1) as isize + past_end < layout.cells() as isize);
+        for store in [false, true] {
+            let mut k = honest.clone();
+            let s = &mut k.loops_mut()[0].stmts[0];
+            if store {
+                s.store_delta = past_end;
+            } else if let Some(Instr::Load { delta, .. }) = s.instrs.first_mut() {
+                *delta = past_end;
+            }
+            for threads in [1, 2] {
+                let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    k.run_with_threads(ExecMode::RowsCertified, threads)
+                }));
+                let Err(payload) = ran else {
+                    panic!("store={store} threads={threads}: the checked run must panic");
+                };
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("kernel access out of bounds"),
+                    "store={store} threads={threads}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! parallel engine, checked against that interpreter.
 //!
 //! This crate lowers a [`FusedSpec`] (program + retiming) once into a
-//! flat, allocation-free kernel and executes the planned iteration space
-//! directly:
+//! flat kernel and executes the planned iteration space directly:
 //!
 //! * [`lower`] — statement bodies compile to a register bytecode
 //!   ([`lower::Instr`]): constants folded, every array reference resolved
@@ -34,7 +33,8 @@
 //! still in place — a single thread cannot race itself).
 //!
 //! A second, independent gate governs *bounds checks*: by default every
-//! load and store asserts its flat index against the buffer length. A
+//! load and store asserts its flat index against the buffer length (a
+//! strip access on a certified row, both of its ends). A
 //! kernel can instead be **armed** with a machine-checked
 //! [`BytecodeCert`] from `mdf-analyze`'s bytecode verifier
 //! ([`CompiledKernel::arm`]), which statically proves register

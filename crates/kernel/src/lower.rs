@@ -11,13 +11,20 @@
 //!   *cursor* (see [`crate::memory::Layout::cursor`]), which itself
 //!   advances by `+1` as the inner loop walks a row;
 //! * the tree flattens into a postfix instruction sequence over a small
-//!   register file of *stack slots*, so execution is a branch-light sweep
-//!   over a flat `Vec<Instr>` with no pointer chasing.
+//!   register file of *stack slots*, with no pointer chasing.
 //!
-//! The register file is a fixed-size stack array in the executor
-//! ([`MAX_REGS`] slots), which keeps the per-cell hot path allocation-free;
-//! expression nesting deeper than that is rejected at compile time with a
-//! typed error rather than miscompiled.
+//! The same bytecode runs two ways. [`eval_compiled`] evaluates it at one
+//! cursor over a fixed-size stack register file ([`MAX_REGS`] slots): the
+//! cell-major paths (uncertified rows, tile waves, hyperplane groups)
+//! need exactly that per-cell order. [`eval_strip`] evaluates it over a
+//! *strip* of consecutive cursors at once: every instruction dispatches
+//! once per strip and runs as a tight loop over one lane per slot. That
+//! only reorders distinct iterations of one fused row — each iteration
+//! still loads before it stores — which is what the row-DOALL guarantee
+//! (Property 4.2, proved at source level by the race certificate and at
+//! machine level by the verifier's `MDF204`) makes safe. Expression
+//! nesting deeper than the register file is rejected at compile time
+//! with a typed error rather than miscompiled.
 
 use mdf_graph::{IVec2, MdfError};
 use mdf_ir::ast::{BinOp, Expr, Stmt};
@@ -203,6 +210,61 @@ pub fn eval_compiled(
         }
     }
     regs[0]
+}
+
+/// Evaluates lowered bytecode at `width` consecutive cursors at once and
+/// returns slot 0's lane: the statement's value at each cursor, in order.
+/// `lanes` is the register file, slot `k` the lane
+/// `lanes[k * width..(k + 1) * width]`, so it must hold at least
+/// `regs * width` cells. `load(delta, lane)` fills `lane` with the
+/// `width` cells from `cursor + delta` on (the caller owns the cursor and
+/// the buffer, as for [`eval_compiled`]). Each lane operation has the
+/// same wrapping semantics as the per-cell evaluator, so every lane ends
+/// equal to what [`eval_compiled`] returns at its cursor on the same
+/// memory.
+#[inline]
+pub fn eval_strip<'l>(
+    instrs: &[Instr],
+    lanes: &'l mut [i64],
+    width: usize,
+    load: impl Fn(isize, &mut [i64]),
+) -> &'l [i64] {
+    for ins in instrs {
+        match *ins {
+            Instr::Const { dst, value } => lane(lanes, dst, width).fill(value),
+            Instr::Load { dst, delta } => load(delta, lane(lanes, dst, width)),
+            Instr::Neg { dst } => {
+                for v in lane(lanes, dst, width) {
+                    *v = v.wrapping_neg();
+                }
+            }
+            Instr::Bin { op, dst } => {
+                let (a, b) = lanes[dst as usize * width..][..2 * width].split_at_mut(width);
+                // One loop per operator, so each body is a single wrapping
+                // operation; `apply` on a known operator folds to it.
+                match op {
+                    BinOp::Add => zip_lanes(a, b, |x, y| BinOp::Add.apply(x, y)),
+                    BinOp::Sub => zip_lanes(a, b, |x, y| BinOp::Sub.apply(x, y)),
+                    BinOp::Mul => zip_lanes(a, b, |x, y| BinOp::Mul.apply(x, y)),
+                }
+            }
+        }
+    }
+    &lanes[..width]
+}
+
+/// Slot `dst`'s lane of a strip register file.
+#[inline]
+fn lane(lanes: &mut [i64], dst: u16, width: usize) -> &mut [i64] {
+    &mut lanes[dst as usize * width..][..width]
+}
+
+/// `a[i] = f(a[i], b[i])` lane by lane.
+#[inline(always)]
+fn zip_lanes(a: &mut [i64], b: &[i64], f: impl Fn(i64, i64) -> i64) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = f(*x, y);
+    }
 }
 
 #[cfg(test)]
